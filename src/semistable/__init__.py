@@ -32,6 +32,7 @@ from .cover import CoverData, cover_data, verify_cover
 from .errors import (
     DomainRejection,
     GermRejection,
+    InternalError,
     NonAdmissibleWeight,
     SemistabilityViolation,
     UnsupportedForm,

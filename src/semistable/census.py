@@ -32,7 +32,7 @@ and the census reads off three kinds of points:
   * corners: (1:0:0:0) and (0:1:0:0) carry the pair germs
     (xy = 0) in 1/(e*a1)(1,-1,(a3-a*a1)/d) and
     (xy = 0) in 1/(e*a2)(1,-1,(a*a2+a3)/d); both fractions are integral for
-    every admissible weight (asserted).
+    every admissible weight (checked, as an internal invariant).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import gcd
 
 from .contractions import ContractionRecord
-from .errors import DomainRejection, UnsupportedForm
+from .errors import DomainRejection, InternalError, UnsupportedForm
 from .polynomials import SparsePoly, squarefree_multiplicities
 
 
@@ -90,7 +90,8 @@ def reduced_g_coefficients(record: ContractionRecord) -> ReducedPerturbation:
         raise DomainRejection("census templates cover only the xy + z^(k*n) family")
     k, n = germ.k, germ.n
     d = record.w0.denominator
-    assert n % d == 0
+    if n % d:
+        raise InternalError(f"the weight denominator {d} must divide the index {n}")
     e = n // d
     a3 = record.w0.numerators[2]
     i_max = k - 1
@@ -225,7 +226,8 @@ def origin_singularity(record: ContractionRecord) -> OriginEntry | None:
     germ = record.germ
     a1, _, a3 = record.w0.numerators
     b = (pow(a1, -1, d) * a3) % d
-    assert gcd(b, d) == 1
+    if gcd(b, d) != 1:
+        raise InternalError(f"origin weight b={b} must be a unit mod {d}")
     k_prime, n_prime, a_prime = l_fib * red.e, d, b
     r = k_prime * n_prime ** 2
     q = (k_prime * n_prime * a_prime - 1) % r if r > 1 else 0
@@ -284,9 +286,11 @@ def corner_singularities(record: ContractionRecord) -> tuple[CornerEntry, Corner
         ("(1:0:0:0)", e * a1, a3 - a * a1),
         ("(0:1:0:0)", e * a2, a * a2 + a3),
     ):
-        assert numerator % d == 0, "corner weight must be integral for admissible w0"
+        if numerator % d:
+            raise InternalError("corner weight must be integral for admissible w0")
         c = (numerator // d) % r if r > 1 else 0
-        assert r == 1 or gcd(c, r) == 1
+        if r > 1 and gcd(c, r) != 1:
+            raise InternalError(f"corner weight {c} must be a unit mod {r}")
         corners.append(CornerEntry(point=point, r=r, c=c))
     return corners[0], corners[1]
 

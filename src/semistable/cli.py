@@ -60,7 +60,7 @@ def _germ_lines(germ: GermSpec) -> list[str]:
         params += f", k={germ.k}"
     if germ.m is not None:
         params += f", m={germ.m}"
-    equation = format_poly(germ.f + germ.tg)
+    equation = format_poly(germ.equation)
     return [
         f"germ: case {germ.case}, {params}, rho_one={germ.rho_one}",
         f"equation: {equation} = 0  in (1/{germ.n})(1,-1,{germ.a},0)",

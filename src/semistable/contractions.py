@@ -17,6 +17,13 @@ The discrepancy of the exceptional divisor is
 the adjunction value for a hypersurface inside a weighted blowup; it is
 cross-checked against the index-one cover (see the cover module) and the
 rank-2 toric picture (see the resolution module).
+
+Everything per weight runs on integers.  The scan walks the one residue
+class of a1 that the lattice congruence allows, and valuations are compared
+scaled by the weight denominator d (see the polynomials module): lambda,
+the semistability test, its witness, the graded piece at lambda - 1 and
+the discrepancy.  `Fraction(scaled, d)` is built only when a record is
+assembled.
 """
 
 from __future__ import annotations
@@ -24,34 +31,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
-from .errors import DomainRejection, NonAdmissibleWeight, SemistabilityViolation
+from .errors import DomainRejection, InternalError, NonAdmissibleWeight, SemistabilityViolation
 from .germs import GermSpec
 from .lattices import (
     QuotientLattice,
     WeightVector,
     divisors,
     fraction_to_str,
+    ratio_to_str,
     weight_in_lattice,
     weight_is_primitive,
 )
 from .polynomials import (
     SparsePoly,
-    graded_piece,
+    format_poly,
     min_weight_monomial,
     poly_to_json,
-    format_poly,
-    valuation,
+    scaled_graded_piece,
+    scaled_valuation,
 )
 
 
 def admissible_weights_T(n: int, a: int, k: int, bound) -> list[WeightVector]:
     """All admissible case-T weights with max entry (1/d)*a_i <= bound.
 
-    Scans every divisor d of n and every positive integer solution of
-    a1 + a2 = k*n*a3 with coprime entries, keeping the vectors that lie in
-    Z^3 + Z*(1/n)(1,-1,a) and are primitive there.  Exhaustive within the
-    bound; sorted lexicographically as rational vectors.
+    For every divisor d of n, scans the positive solutions of
+    a1 + a2 = k*n*a3 with entries <= d*bound.  Lattice membership of
+    (a1, a2, a3)/d is a3 = a*a1 (mod d) once d | a1 + a2, so a1 only runs
+    over the residue class a^(-1)*a3 mod d; coprime candidates that are
+    primitive in Z^3 + Z*(1/n)(1,-1,a) are kept.  Exhaustive within the
+    bound; sorted lexicographically as rational vectors, through the exact
+    integer key n*(a1, a2, a3)/d.
     """
     if n < 1 or gcd(a, n) != 1:
         raise ValueError(f"invalid quotient data n={n}, a={a}")
@@ -63,23 +75,22 @@ def admissible_weights_T(n: int, a: int, k: int, bound) -> list[WeightVector]:
     lattice = QuotientLattice(3, n, a)
     found = []
     for d in divisors(n):
+        e = n // d
         cap = int(d * bound)  # entries a_i <= d*bound
+        a_inverse = pow(a, -1, d)
         for a3 in range(1, cap + 1):
             total = k * n * a3
-            for a1 in range(1, min(cap, total - 1) + 1):
+            low = max(1, total - cap)  # a2 = total - a1 <= cap
+            start = low + (a_inverse * a3 - low) % d
+            for a1 in range(start, min(cap, total - 1) + 1, d):
                 a2 = total - a1
-                if a2 < 1 or a2 > cap:
-                    continue
-                if gcd(gcd(a1, a2), a3) != 1:
+                if gcd(a1, a2, a3) != 1:
                     continue
                 w = WeightVector((a1, a2, a3), d)
-                if not weight_in_lattice(lattice, w):
-                    continue
-                if not weight_is_primitive(lattice, w):
-                    continue
-                found.append(w)
-    found.sort(key=WeightVector.sort_key)
-    return found
+                if weight_is_primitive(lattice, w):
+                    found.append(((e * a1, e * a2, e * a3), w))
+    found.sort(key=itemgetter(0))
+    return [w for _, w in found]
 
 
 _DE_TABLE = {
@@ -103,7 +114,8 @@ def fixed_weights_DE(case: str, m: int | None = None) -> WeightVector:
     else:
         raise ValueError(f"no fixed weights for case {case!r}")
     homogeneous, _ = is_homogeneous(w, normal_form(case, 1, None, m))
-    assert homogeneous
+    if not homogeneous:
+        raise InternalError(f"the {case} normal form is not homogeneous for {w}")
     return w
 
 
@@ -139,17 +151,21 @@ def _check_admissible(germ: GermSpec, w0: WeightVector) -> None:
         raise NonAdmissibleWeight(reason)
 
 
+def _scaled_discrepancy(germ: GermSpec, w0: WeightVector) -> int:
+    """d times the discrepancy of an admissible weight; rejects nonpositive values."""
+    value = sum(w0.numerators) - scaled_valuation(w0, germ.equation)
+    if value <= 0:
+        raise DomainRejection(
+            f"discrepancy {ratio_to_str(value, w0.denominator)} is not positive; "
+            "the pair is not terminal"
+        )
+    return value
+
+
 def discrepancy(germ: GermSpec, w0: WeightVector) -> Fraction:
     """Discrepancy of the exceptional divisor: sum of weights - w(f + t*g) - 1."""
     _check_admissible(germ, w0)
-    total = sum(w0.extended, Fraction(0))
-    equation = germ.f + germ.tg
-    value = total - valuation(w0, equation) - 1
-    if value <= 0:
-        raise DomainRejection(
-            f"discrepancy {value} is not positive; the pair is not terminal"
-        )
-    return value
+    return Fraction(_scaled_discrepancy(germ, w0), w0.denominator)
 
 
 @dataclass(frozen=True)
@@ -191,30 +207,28 @@ def build_contraction(germ: GermSpec, w0: WeightVector) -> ContractionRecord:
     on the raised SemistabilityViolation.
     """
     _check_admissible(germ, w0)
-    lam = valuation(w0, germ.f)
-    if not germ.tg.is_zero:
-        val_tg = valuation(w0, germ.tg)
-        if val_tg < lam:
+    d = w0.denominator
+    lam_scaled = scaled_valuation(w0, germ.f)
+    if germ.tg.is_zero:
+        piece = SparsePoly.zero(4)
+    else:
+        tg_scaled = scaled_valuation(w0, germ.tg)
+        if tg_scaled < lam_scaled:
             exp, coeff = min_weight_monomial(w0, germ.tg)
             raise SemistabilityViolation(
-                f"w(t*g) = {fraction_to_str(val_tg)} < w(f) = {fraction_to_str(lam)}; "
+                f"w(t*g) = {ratio_to_str(tg_scaled, d)} < "
+                f"w(f) = {ratio_to_str(lam_scaled, d)}; "
                 f"witness monomial {format_poly(SparsePoly.monomial(exp, coeff))}",
                 witness=exp,
             )
-    piece = (
-        SparsePoly.zero(4)
-        if germ.tg.is_zero
-        else graded_piece(w0, germ.g, lam - 1)
-    )
-    e_equation = germ.f + piece.times_t()
-    disc = discrepancy(germ, w0)
+        piece = scaled_graded_piece(w0, germ.g, lam_scaled - d)  # weight lam - 1
     return ContractionRecord(
         germ=germ,
         w0=w0,
-        lam=lam,
-        discrepancy=disc,
-        ambient=(*w0.numerators, w0.denominator),
-        E_equation=e_equation,
+        lam=Fraction(lam_scaled, d),
+        discrepancy=Fraction(_scaled_discrepancy(germ, w0), d),
+        ambient=(*w0.numerators, d),
+        E_equation=germ.f + piece.times_t(),
         semistable_ok=True,
         contraction_status="divisorial-contraction" if germ.rho_one else "pending-rho",
     )
@@ -244,5 +258,6 @@ def enumerate_contractions(germ: GermSpec, bound=None):
             records.append(build_contraction(germ, w))
         except SemistabilityViolation as exc:
             rejected.append((w, exc.witness))
-    records.sort(key=lambda r: (r.lam, r.w0.sort_key()))
+    # weights arrive sorted, so a stable sort by lambda orders by (lambda, w0)
+    records.sort(key=lambda r: r.lam)
     return records, rejected

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .contractions import ContractionRecord
+from .errors import InternalError
 from .polynomials import valuation_with_weights
 
 
@@ -41,14 +42,17 @@ def cover_data(record: ContractionRecord) -> CoverData:
     disc = record.discrepancy
     d = disc.denominator
     n = record.germ.n
-    assert n % d == 0, "the discrepancy denominator must divide the index"
+    if n % d:
+        raise InternalError(f"the discrepancy denominator {d} must divide the index {n}")
     lifted = []
     for w in record.w0.extended:
         scaled = d * w
-        assert scaled.denominator == 1, "lifted weights must be integral"
+        if scaled.denominator != 1:
+            raise InternalError(f"lifted weight {scaled} must be integral")
         lifted.append(int(scaled))
     covered = disc * d + d - 1
-    assert covered.denominator == 1
+    if covered.denominator != 1:
+        raise InternalError(f"covered discrepancy {covered} must be integral")
     return CoverData(
         d=d,
         e=n // d,
@@ -60,10 +64,9 @@ def cover_data(record: ContractionRecord) -> CoverData:
 def verify_cover(record: ContractionRecord) -> bool:
     """Check a~ two ways: the ramification formula against a direct valuation on the cover."""
     data = cover_data(record)
-    equation = record.germ.f + record.germ.tg
     direct = (
         sum(data.lifted_weights)
-        - valuation_with_weights(data.lifted_weights, equation)
+        - valuation_with_weights(data.lifted_weights, record.germ.equation)
         - 1
     )
     return direct == data.covered_discrepancy

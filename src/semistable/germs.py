@@ -29,9 +29,10 @@ monomial dictionary x = u^(kn), y = v^(kn), z = uv.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import gcd
 
-from .errors import GermRejection
+from .errors import GermRejection, InternalError
 from .lattices import QuotientLattice
 from .polynomials import SparsePoly, is_mu_n_invariant, poly_from_json, poly_to_json
 
@@ -59,7 +60,10 @@ def normal_form(case: str, n: int = 1, k: int | None = None, m: int | None = Non
 
 @dataclass(frozen=True)
 class GermSpec:
-    """A validated germ: index n, action weight a on z, case data, perturbation t*g."""
+    """A validated germ: index n, action weight a on z, case data, perturbation t*g.
+
+    f, g and the equation f + t*g are built once per germ, on first use.
+    """
 
     n: int
     a: int
@@ -69,15 +73,20 @@ class GermSpec:
     tg: SparsePoly
     rho_one: bool = False
 
-    @property
+    @cached_property
     def f(self) -> SparsePoly:
         return normal_form(self.case, self.n, self.k, self.m)
 
-    @property
+    @cached_property
     def g(self) -> SparsePoly:
         return SparsePoly(
             {(i, j, kz, l - 1): c for (i, j, kz, l), c in self.tg.items()}, dim=4
         )
+
+    @cached_property
+    def equation(self) -> SparsePoly:
+        """The total-space equation f + t*g."""
+        return self.f + self.tg
 
     @property
     def weight_lattice(self) -> QuotientLattice:
@@ -176,7 +185,8 @@ def validate_germ(raw) -> GermSpec:
         raise GermRejection(
             f"perturbation is not invariant: monomial {bad} has nonzero character"
         )
-    assert is_mu_n_invariant(lattice, germ.f)
+    if not is_mu_n_invariant(lattice, germ.f):
+        raise InternalError(f"normal form of case {germ.case} is not mu_n-invariant")
     return germ
 
 
@@ -216,7 +226,8 @@ def fibre_singularity(germ: GermSpec):
             q = 0
         else:
             q = (germ.k * germ.n * germ.a - 1) % r
-            assert 1 <= q < r and gcd(q, r) == 1
+            if not (1 <= q < r and gcd(q, r) == 1):
+                raise InternalError(f"fibre quotient 1/{r}(1,{q}) is not normalized")
         dictionary = (("x", (kn, 0)), ("y", (0, kn)), ("z", (1, 1)))
         return FibreQuotientData(r=r, q=q, dictionary=dictionary)
     if germ.case == "D":
@@ -238,8 +249,7 @@ def isolatedness_probe(germ: GermSpec, t_order: int | None = None) -> str:
     Never returns "false": a truncated or oversized input may hide
     isolatedness the probe cannot see.
     """
-    tg = germ.tg if t_order is None else germ.tg.t_truncated(t_order)
-    F = germ.f + tg
+    F = germ.equation if t_order is None else germ.f + germ.tg.t_truncated(t_order)
     if len(F) > _PROBE_MAX_TERMS:
         return "inconclusive"
     if max(sum(e) for e, _ in F.items()) > _PROBE_MAX_DEGREE:

@@ -5,28 +5,40 @@ monomial-valuation lattice
 
     N = Z^dim + Z * (1/n)(1, -1, a[, 0]),    gcd(a, n) = 1,  dim in {3, 4},
 
-a corank-one extension of the integer lattice.  Membership and primitivity in
-N are decided by a single modular parameter: v lies in N iff n*v is integral
-and congruent to j*(1, -1, a[, 0]) mod n for some j, so one congruence chain
-settles everything.  All arithmetic is exact (`fractions.Fraction`); no
-floating point anywhere.
+a corank-one extension of the integer lattice.  Membership and primitivity
+are decided on integers.  Write a rational vector as m/d with d its exact
+common denominator, so gcd(d, m) = 1.  Then m/d lies in N iff
+
+    d | n,   m1 + m2 = 0,   m3 = a*m1   [and m4 = 0]     (mod d).
+
+A member m/d is primitive unless m/(d*p) is a member for some prime p; only
+primes dividing gcd(m) or e = n/d can do that, and for a prime p | e not
+dividing gcd(m) it means the same congruences hold mod d*p.  One private
+core (`_contains`, `_primitive`) carries these congruences for rational
+vectors and for `WeightVector`s alike.  No floating point anywhere; the
+`fractions.Fraction` entry points convert to m/d once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vector = tuple[Fraction, ...]
+
+
+def ratio_to_str(p: int, q: int) -> str:
+    """Serialize the rational p/q (q > 0) in lowest terms as "p/q", or "p" when q is 1."""
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def fraction_to_str(x: Fraction | int) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return ratio_to_str(x.numerator, x.denominator)
 
 
 def fraction_from_str(s: str | int) -> Fraction:
@@ -83,47 +95,57 @@ class QuotientLattice:
         return tuple(Fraction(c, self.n) for c in g)
 
 
-def lattice_contains(lattice: QuotientLattice, v) -> bool:
-    """Whether v lies in the lattice.
+def _scaled(v: Vector) -> tuple[tuple[int, ...], int]:
+    """Write a rational vector as m/d with d its exact common denominator."""
+    d = lcm(*(c.denominator for c in v))
+    return tuple(c.numerator * (d // c.denominator) for c in v), d
 
-    v is in N iff n*v is integral and there is an integer j with
-    n*v = j*(1, -1, a[, 0]) mod n componentwise.  The first component pins
-    j, so only one congruence chain is checked.
+
+def _contains(n: int, a: int, m: tuple[int, ...], d: int) -> bool:
+    """Whether m/d lies in Z^dim + Z*(1/n)(1, -1, a[, 0]); d is exact for m.
+
+    n*(m/d) must be j*(1, -1, a[, 0]) mod n; with n = d*e the first slot
+    pins j = e*m1, which leaves the congruences below mod d.
     """
-    v = to_vector(v, lattice.dim)
-    n, a = lattice.n, lattice.a
-    scaled = [n * c for c in v]
-    if any(c.denominator != 1 for c in scaled):
-        return False
-    m = [int(c) for c in scaled]
-    j = m[0] % n
-    if (-j) % n != m[1] % n:
-        return False
-    if (a * j) % n != m[2] % n:
-        return False
-    if lattice.dim == 4 and m[3] % n != 0:
-        return False
+    return (
+        n % d == 0
+        and (m[0] + m[1]) % d == 0
+        and (m[2] - a * m[0]) % d == 0
+        and (len(m) == 3 or m[3] % d == 0)
+    )
+
+
+def _primitive(n: int, a: int, m: tuple[int, ...], d: int) -> bool:
+    """Whether the member m/d is primitive: m/(d*p) leaves the lattice for every prime p.
+
+    For p | gcd(m), m/(d*p) is (m/p)/d; otherwise d*p is its exact
+    denominator, which must divide n.  So only primes of gcd(m)*(n/d) count.
+    """
+    content = gcd(*m)
+    for p in prime_factors(content * (n // d)):
+        if content % p == 0:
+            if _contains(n, a, tuple(c // p for c in m), d):
+                return False
+        elif _contains(n, a, m, d * p):
+            return False
     return True
+
+
+def lattice_contains(lattice: QuotientLattice, v) -> bool:
+    """Whether the rational vector v lies in the lattice."""
+    m, d = _scaled(to_vector(v, lattice.dim))
+    return _contains(lattice.n, lattice.a, m, d)
 
 
 def is_primitive(lattice: QuotientLattice, v) -> bool:
-    """Whether v is primitive in the lattice, i.e. v/p leaves it for every prime p.
-
-    Any prime witnessing imprimitivity divides the content of the integer
-    vector n*v, so only those primes are tried.
-    """
+    """Whether v is primitive in the lattice, i.e. v/p leaves it for every prime p."""
     v = to_vector(v, lattice.dim)
-    if all(c == 0 for c in v):
+    m, d = _scaled(v)
+    if not any(m):
         raise ValueError("the zero vector is not primitive")
-    if not lattice_contains(lattice, v):
+    if not _contains(lattice.n, lattice.a, m, d):
         raise ValueError(f"{v} does not lie in the lattice")
-    content = 0
-    for c in v:
-        content = gcd(content, int(lattice.n * c))
-    for p in prime_factors(content):
-        if lattice_contains(lattice, tuple(c / p for c in v)):
-            return False
-    return True
+    return _primitive(lattice.n, lattice.a, m, d)
 
 
 def mu_n_character(lattice: QuotientLattice, exponents) -> int:
@@ -182,9 +204,6 @@ class WeightVector:
         """The blowup weights on (x, y, z, t); t always carries weight 1."""
         return self.fractions + (Fraction(1),)
 
-    def sort_key(self):
-        return self.fractions
-
     def __str__(self) -> str:
         body = "(" + ",".join(str(c) for c in self.numerators) + ")"
         if self.denominator == 1:
@@ -195,20 +214,22 @@ class WeightVector:
         return {
             "numerators": list(self.numerators),
             "denominator": self.denominator,
-            "vector": [fraction_to_str(c) for c in self.fractions],
+            "vector": [ratio_to_str(c, self.denominator) for c in self.numerators],
         }
 
 
 def weight_in_lattice(lattice: QuotientLattice, w: WeightVector) -> bool:
     if lattice.dim != 3:
         raise ValueError("weights live in the dimension-3 lattice")
-    return lattice_contains(lattice, w.fractions)
+    return _contains(lattice.n, lattice.a, w.numerators, w.denominator)
 
 
 def weight_is_primitive(lattice: QuotientLattice, w: WeightVector) -> bool:
     if lattice.dim != 3:
         raise ValueError("weights live in the dimension-3 lattice")
-    return is_primitive(lattice, w.fractions)
+    if not _contains(lattice.n, lattice.a, w.numerators, w.denominator):
+        raise ValueError(f"{w.fractions} does not lie in the lattice")
+    return _primitive(lattice.n, lattice.a, w.numerators, w.denominator)
 
 
 def parse_weight(text: str) -> WeightVector:

@@ -2,10 +2,13 @@
 
 Monomials are exponent tuples of a fixed dimension (3 or 4 per polynomial),
 coefficients are `fractions.Fraction`, and no zero coefficient is ever
-stored.  Weights assign (1/d)(a1*i + a2*j + a3*k) + l to the exponent
-(i, j, k, l); the fourth coordinate is the base-curve parameter t and always
-weighs 1.  Valuation, homogeneity and the graded decomposition are all plain
-min / group-by computations on this weight.
+stored.  The weight (1/d)(a1, a2, a3) assigns (1/d)(a1*i + a2*j + a3*k) + l
+to the exponent (i, j, k, l); the fourth coordinate is the base-curve
+parameter t and always weighs 1.  Gradings are computed on the scaled
+weight d*(that) = a1*i + a2*j + a3*k + d*l, an integer, so valuation,
+homogeneity and the graded decomposition are integer min / group-by
+computations.  `monomial_weight`, `valuation` and the graded pieces hand out
+`Fraction(scaled, d)` only at their return.
 """
 
 from __future__ import annotations
@@ -202,21 +205,31 @@ def weighted_exponent_value(weights, exp) -> Fraction:
     return sum((Fraction(w) * e for w, e in zip(weights, exp)), Fraction(0))
 
 
+def scaled_monomial_weight(w: WeightVector, exp) -> int:
+    """d times the weight of the monomial: a1*i + a2*j + a3*k [+ d*l]."""
+    a1, a2, a3 = w.numerators
+    if len(exp) == 4:
+        return a1 * exp[0] + a2 * exp[1] + a3 * exp[2] + w.denominator * exp[3]
+    if len(exp) == 3:
+        return a1 * exp[0] + a2 * exp[1] + a3 * exp[2]
+    raise ValueError("exponent must have 3 or 4 entries")
+
+
 def monomial_weight(w: WeightVector, exp) -> Fraction:
     """(1/d)(a1*i + a2*j + a3*k) + l;  the t-exponent, when present, weighs 1."""
-    exp = tuple(exp)
-    if len(exp) == 3:
-        return weighted_exponent_value(w.fractions, exp)
-    if len(exp) == 4:
-        return weighted_exponent_value(w.extended, exp)
-    raise ValueError("exponent must have 3 or 4 entries")
+    return Fraction(scaled_monomial_weight(w, tuple(exp)), w.denominator)
+
+
+def scaled_valuation(w: WeightVector, h: SparsePoly) -> int:
+    """d times the valuation of h: the least scaled monomial weight."""
+    if h.is_zero:
+        raise ZeroPolynomialError("the zero polynomial has infinite valuation")
+    return min(scaled_monomial_weight(w, e) for e in h._terms)
 
 
 def valuation(w: WeightVector, h: SparsePoly) -> Fraction:
     """Minimum monomial weight of h; the order of vanishing along the exceptional divisor."""
-    if h.is_zero:
-        raise ZeroPolynomialError("the zero polynomial has infinite valuation")
-    return min(monomial_weight(w, e) for e, _ in h.items())
+    return Fraction(scaled_valuation(w, h), w.denominator)
 
 
 def valuation_with_weights(weights, h: SparsePoly) -> Fraction:
@@ -229,16 +242,19 @@ def min_weight_monomial(w: WeightVector, h: SparsePoly) -> tuple[Exponent, Fract
     """A lowest-weight monomial of h (deterministic: smallest exponent tuple wins ties)."""
     if h.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no monomials")
-    return min(h.items(), key=lambda item: (monomial_weight(w, item[0]), item[0]))
+    return min(
+        h._terms.items(),
+        key=lambda item: (scaled_monomial_weight(w, item[0]), item[0]),
+    )
 
 
 def is_homogeneous(w: WeightVector, h: SparsePoly) -> tuple[bool, Fraction | None]:
     """Whether all monomials of h share one weight; returns (True, weight) if so."""
     if h.is_zero:
         raise ZeroPolynomialError("homogeneity is undefined for the zero polynomial")
-    values = {monomial_weight(w, e) for e, _ in h.items()}
+    values = {scaled_monomial_weight(w, e) for e in h._terms}
     if len(values) == 1:
-        return True, values.pop()
+        return True, Fraction(values.pop(), w.denominator)
     return False, None
 
 
@@ -252,19 +268,30 @@ def graded_decomposition(w: WeightVector, h: SparsePoly) -> list[GradedPiece]:
     """Split h into graded pieces of strictly increasing weight; they sum back to h."""
     if h.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no graded pieces")
-    buckets: dict[Fraction, dict] = {}
+    buckets: dict[int, dict] = {}
     for e, c in h.items():
-        buckets.setdefault(monomial_weight(w, e), {})[e] = c
+        buckets.setdefault(scaled_monomial_weight(w, e), {})[e] = c
     return [
-        GradedPiece(val, SparsePoly(terms, dim=h.dim))
+        GradedPiece(Fraction(val, w.denominator), SparsePoly(terms, dim=h.dim))
         for val, terms in sorted(buckets.items())
     ]
 
 
+def scaled_graded_piece(w: WeightVector, h: SparsePoly, scaled_value: int) -> SparsePoly:
+    """The graded piece of h of scaled weight scaled_value (possibly zero)."""
+    terms = {
+        e: c for e, c in h._terms.items()
+        if scaled_monomial_weight(w, e) == scaled_value
+    }
+    return SparsePoly(terms, dim=h.dim)
+
+
 def graded_piece(w: WeightVector, h: SparsePoly, value: Fraction) -> SparsePoly:
     """The single graded piece of h with the given weight (possibly zero)."""
-    terms = {e: c for e, c in h.items() if monomial_weight(w, e) == value}
-    return SparsePoly(terms, dim=h.dim)
+    scaled = Fraction(value) * w.denominator
+    if scaled.denominator != 1:
+        return SparsePoly.zero(h.dim)  # no monomial weight lies off (1/d)Z
+    return scaled_graded_piece(w, h, scaled.numerator)
 
 
 def is_mu_n_invariant(lattice: QuotientLattice, h: SparsePoly) -> bool:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from .errors import InternalError
 from .lattices import WeightVector, prime_factors, to_vector
 
 Vector2 = tuple[Fraction, Fraction]
@@ -178,7 +179,8 @@ def _coords2(r: int, q: int, v: Vector2) -> tuple[int, int]:
     # coordinates in the lattice basis {(1/r)(1, q), (0, 1)}
     a = r * v[0]
     b = v[1] - q * v[0]
-    assert a.denominator == 1 and b.denominator == 1
+    if a.denominator != 1 or b.denominator != 1:
+        raise InternalError(f"{v} has no integer coordinates in the lattice basis")
     return int(a), int(b)
 
 
@@ -197,7 +199,8 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 def _cone_type(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     """Normalize the cone spanned by primitive u, v (integer coordinates) to 1/r'(1, q')."""
     g, x, y = _ext_gcd(u[0], u[1])
-    assert g == 1, "first ray must be primitive"
+    if g != 1:
+        raise InternalError("first ray must be primitive")
     alpha = x * v[0] + y * v[1]
     beta = -u[1] * v[0] + u[0] * v[1]
     if beta == 0:
@@ -207,7 +210,8 @@ def _cone_type(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     if beta == 1:
         return 1, 0
     q_prime = (beta - alpha) % beta
-    assert 1 <= q_prime < beta and gcd(q_prime, beta) == 1
+    if not (1 <= q_prime < beta and gcd(q_prime, beta) == 1):
+        raise InternalError(f"cone type 1/{beta}(1,{q_prime}) is not normalized")
     return beta, q_prime
 
 

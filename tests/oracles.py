@@ -2,12 +2,12 @@
 
 Membership scans every residue j instead of solving the congruence chain;
 primitivity tries a fixed prime list instead of factoring the content; the
-weight enumeration below rechecks every filter from scratch.  Slow and
-dumb on purpose.
+weight enumeration below rechecks every filter on its own; valuations sum
+Fraction weights monomial by monomial.  Slow and dumb on purpose.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
           61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
@@ -36,7 +36,8 @@ def oracle_primitive(n, a, v, dim=3):
 def brute_force_weights_T(n, a, k, bound):
     """All admissible case-T weight vectors, as a set of rational triples.
 
-    Scans (a1, a2, a3, d) with d | n and entries <= d*bound.  Coprime entries
+    Scans (a1, a2, a3, d) with d | n and entries <= d*bound (bound may be a
+    Fraction).  Coprime entries
     lose nothing: a triple with content g > 1 either rewrites over a smaller
     divisor of n (and is scanned there) or is divisible in the lattice.
     """
@@ -44,7 +45,7 @@ def brute_force_weights_T(n, a, k, bound):
     for d in range(1, n + 1):
         if n % d:
             continue
-        cap = d * bound
+        cap = floor(d * bound)
         for a3 in range(1, cap + 1):
             for a1 in range(1, cap + 1):
                 a2 = k * n * a3 - a1
@@ -59,3 +60,9 @@ def brute_force_weights_T(n, a, k, bound):
                     continue
                 out.add(v)
     return out
+
+
+def oracle_valuation(weights, exponents):
+    """Least weight sum(w_i * e_i) over the exponents, with t weighing 1 in slot 4."""
+    full = [Fraction(w) for w in weights] + [Fraction(1)]
+    return min(sum((w * e for w, e in zip(full, exp)), Fraction(0)) for exp in exponents)

@@ -47,7 +47,7 @@ def test_enumeration_is_sorted_and_validated():
     for n, a, k in [(2, 1, 1), (3, 1, 1), (3, 2, 2)]:
         lattice = ss.QuotientLattice(3, n, a)
         weights = ss.admissible_weights_T(n, a, k, 4)
-        keys = [w.sort_key() for w in weights]
+        keys = [w.fractions for w in weights]
         assert keys == sorted(keys)
         for w in weights:
             a1, a2, a3 = w.numerators
@@ -169,7 +169,7 @@ def test_enumerate_contractions():
     records, rejected = ss.enumerate_contractions(germ_T(1, 0, 2), 3)
     assert [r.w0.fractions for r in records] == [(1, 1, 1), (1, 3, 2), (3, 1, 2)]
     assert rejected == []
-    keys = [(r.lam, r.w0.sort_key()) for r in records]
+    keys = [(r.lam, r.w0.fractions) for r in records]
     assert keys == sorted(keys)
 
     # a perturbation of weight 3 kills every weight with lam > 3

@@ -1,4 +1,7 @@
+from dataclasses import replace
 from fractions import Fraction
+
+import pytest
 
 import semistable as ss
 from semistable import WeightVector
@@ -67,3 +70,13 @@ def test_cover_sweep_over_enumerations():
                 assert data.covered_discrepancy == record.discrepancy * data.d + data.d - 1
                 assert data.covered_discrepancy >= 1
                 assert ss.verify_cover(record)
+
+
+def test_inconsistent_record_raises_internal_error():
+    # a discrepancy with denominator 3 cannot come from an index-2 germ
+    germ = germ_T(2, 1, 1, [{"coeff": "1", "exp": [0, 0, 0, 2]}])
+    record = ss.build_contraction(germ, WeightVector((1, 5, 3), 2))
+    broken = replace(record, discrepancy=Fraction(4, 3))
+    with pytest.raises(ss.InternalError):
+        ss.cover_data(broken)
+    assert not issubclass(ss.InternalError, (ValueError, ss.DomainRejection))
