@@ -160,7 +160,10 @@ def interior_census(record: ContractionRecord) -> list[InteriorEntry]:
     Multiple roots of h(z') of multiplicity l give A_(l-1) points; for d > 1
     the z' = 0 root is stripped first (it is the origin entry's business).
     """
-    red = reduced_g_coefficients(record)
+    return _interior(record, reduced_g_coefficients(record))
+
+
+def _interior(record: ContractionRecord, red: ReducedPerturbation) -> list[InteriorEntry]:
     h = red.chart_polynomial()
     if record.w0.denominator > 1:
         shift = min(e[2] for e, _ in h.items())
@@ -216,10 +219,14 @@ class OriginEntry:
 
 def origin_singularity(record: ContractionRecord) -> OriginEntry | None:
     """Quotient germ at the chart origin; None when d = 1 or the origin is smooth."""
+    if record.w0.denominator == 1:
+        return None  # no quotient origin, and t*g is not read
+    return _origin(record, reduced_g_coefficients(record))
+
+
+def _origin(record: ContractionRecord, red: ReducedPerturbation) -> OriginEntry | None:
+    """Origin entry from the parsed perturbation; the caller ensures d > 1."""
     d = record.w0.denominator
-    if d == 1:
-        return None
-    red = reduced_g_coefficients(record)
     l_fib = red.l_fibre
     if l_fib == 0:
         return None  # c_0 != 0: the chart origin misses the surface
@@ -311,8 +318,9 @@ class SingularityCensus:
 
 def census(record: ContractionRecord) -> SingularityCensus:
     """Full census of the family along E: interior A-points, origin germ, corners."""
+    red = reduced_g_coefficients(record)
     return SingularityCensus(
-        interior=tuple(interior_census(record)),
-        origin=origin_singularity(record),
+        interior=tuple(_interior(record, red)),
+        origin=_origin(record, red) if record.w0.denominator > 1 else None,
         corners=corner_singularities(record),
     )

@@ -17,13 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 
-from .census import census
+from .census import SingularityCensus, census
 from .contractions import ContractionRecord, build_contraction, enumerate_contractions
 from .cover import cover_data, verify_cover
 from .errors import DomainRejection, UnsupportedForm
 from .germs import FibreQuotientData, GermSpec, fibre_singularity, isolatedness_probe, validate_germ
-from .lattices import fraction_to_str
+from .lattices import fraction_to_str, parse_weight
 from .polynomials import format_poly
 from .resolution import DualGraph, duval_graph, hj_expansion, resolve_cyclic
 
@@ -47,11 +48,14 @@ def _load_germ(path: str) -> GermSpec:
     return validate_germ(raw)
 
 
-def _emit(payload: dict, lines: list[str], as_json: bool) -> None:
+def _emit(
+    build_payload: Callable[[], dict], build_lines: Callable[[], list[str]], as_json: bool
+) -> None:
+    """Print the JSON payload or the text lines; only the chosen builder runs."""
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(build_payload(), indent=2, sort_keys=True))
     else:
-        print("\n".join(lines))
+        print("\n".join(build_lines()))
 
 
 def _germ_lines(germ: GermSpec) -> list[str]:
@@ -75,13 +79,7 @@ def _graph_line(graph: DualGraph) -> str:
     return f"resolution: [{selfints}]{note}"
 
 
-def _census_lines(record: ContractionRecord, indent: str = "") -> list[str]:
-    try:
-        data = census(record)
-    except UnsupportedForm as exc:
-        return [f"{indent}census: unsupported form ({exc})"]
-    except DomainRejection as exc:
-        return [f"{indent}census: {exc}"]
+def _census_lines(data: SingularityCensus, indent: str = "") -> list[str]:
     lines = []
     if data.interior:
         for entry in data.interior:
@@ -110,14 +108,8 @@ def _census_lines(record: ContractionRecord, indent: str = "") -> list[str]:
     return lines
 
 
-def _census_json(record: ContractionRecord):
-    try:
-        return {"census": census(record).to_json(), "census_note": None}
-    except (UnsupportedForm, DomainRejection) as exc:
-        return {"census": None, "census_note": str(exc)}
-
-
 def _record_lines(record: ContractionRecord, indent: str = "") -> list[str]:
+    """The record, its cover and, in case T, its census (or why there is none)."""
     a1, a2, a3, d = record.ambient
     lines = [
         f"{indent}w0 = {record.w0}   lambda = {fraction_to_str(record.lam)}   "
@@ -134,18 +126,27 @@ def _record_lines(record: ContractionRecord, indent: str = "") -> list[str]:
         f"lifted={data.lifted_weights} a~={data.covered_discrepancy} "
         f"verified={verified}"
     )
+    if record.germ.case == "T":
+        try:
+            lines.extend(_census_lines(census(record), indent))
+        except UnsupportedForm as exc:
+            lines.append(f"{indent}census: unsupported form ({exc})")
+        except DomainRejection as exc:
+            lines.append(f"{indent}census: {exc}")
     return lines
 
 
 def _record_json(record: ContractionRecord) -> dict:
     payload = record.to_json()
-    data = cover_data(record)
-    payload["cover"] = data.to_json()
-    payload["cover"]["verified"] = verify_cover(record)
-    if record.germ.case == "T":
-        payload.update(_census_json(record))
+    payload["cover"] = {**cover_data(record).to_json(), "verified": verify_cover(record)}
+    if record.germ.case != "T":
+        data, note = None, "census covers only case T"
     else:
-        payload.update({"census": None, "census_note": "census covers only case T"})
+        try:
+            data, note = census(record).to_json(), None
+        except DomainRejection as exc:  # UnsupportedForm included
+            data, note = None, str(exc)
+    payload.update(census=data, census_note=note)
     return payload
 
 
@@ -155,7 +156,6 @@ def cmd_classify(args) -> int:
     iso = (
         isolatedness_probe(germ, args.trunc_order) if args.probe else "asserted"
     )
-    lines = _germ_lines(germ) + ["verdict: valid"]
     if isinstance(fibre, FibreQuotientData):
         def power(base, exponent):
             return "" if exponent == 0 else base if exponent == 1 else f"{base}^{exponent}"
@@ -165,29 +165,32 @@ def cmd_classify(args) -> int:
             for name, e in fibre.dictionary
         )
         label = f"  [{fibre.duval_label}]" if fibre.duval_label else ""
-        lines.append(f"fibre: cyclic quotient 1/{fibre.r}(1,{fibre.q}){label}")
-        lines.append(f"fibre chart: {dictionary}")
         graph = resolve_cyclic(fibre.r, fibre.q)
+        fibre_lines = [
+            f"fibre: cyclic quotient 1/{fibre.r}(1,{fibre.q}){label}",
+            f"fibre chart: {dictionary}",
+            _graph_line(graph),
+        ]
         fibre_json = fibre.to_json()
     elif germ.case == "N":
-        lines.append(f"fibre: {fibre}; classification display only")
         graph = None
+        fibre_lines = [f"fibre: {fibre}; classification display only"]
         fibre_json = {"label": fibre}
     else:
-        lines.append(f"fibre: Du Val {fibre}")
         graph = duval_graph(fibre)
+        fibre_lines = [f"fibre: Du Val {fibre}", _graph_line(graph)]
         fibre_json = {"duval_label": fibre}
-    if graph is not None:
-        lines.append(_graph_line(graph))
-    lines.append(f"isolatedness: {iso}")
-    payload = {
-        "verdict": "valid",
-        "germ": germ.to_json(),
-        "fibre": fibre_json,
-        "fibre_resolution": graph.to_json() if graph is not None else None,
-        "isolatedness": iso,
-    }
-    _emit(payload, lines, args.json)
+    _emit(
+        lambda: {
+            "verdict": "valid",
+            "germ": germ.to_json(),
+            "fibre": fibre_json,
+            "fibre_resolution": graph.to_json() if graph is not None else None,
+            "isolatedness": iso,
+        },
+        lambda: _germ_lines(germ) + ["verdict: valid", *fibre_lines, f"isolatedness: {iso}"],
+        args.json,
+    )
     return EXIT_OK
 
 
@@ -196,92 +199,85 @@ def cmd_enumerate(args) -> int:
     if germ.case == "T" and args.bound is None:
         raise CliParseError("case-T enumeration needs --bound")
     records, rejected = enumerate_contractions(germ, args.bound)
-    lines = _germ_lines(germ)
-    bound_note = f" (bound {args.bound})" if args.bound is not None else ""
-    lines.append(f"records: {len(records)}{bound_note}")
-    for i, record in enumerate(records, start=1):
-        lines.append(f"[{i}]")
-        lines.extend(_record_lines(record, indent="    "))
-        if germ.case == "T":
-            lines.extend(_census_lines(record, indent="    "))
-    for w, witness in rejected:
-        lines.append(f"rejected: {w} violates w(t*g) >= w(f), witness exponent {witness}")
-    payload = {
-        "germ": germ.to_json(),
-        "bound": args.bound,
-        "records": [_record_json(r) for r in records],
-        "rejected": [
-            {"w0": w.to_json(), "witness_exponent": list(witness)}
-            for w, witness in rejected
-        ],
-    }
-    _emit(payload, lines, args.json)
+
+    def lines():
+        out = _germ_lines(germ)
+        bound_note = f" (bound {args.bound})" if args.bound is not None else ""
+        out.append(f"records: {len(records)}{bound_note}")
+        for i, record in enumerate(records, start=1):
+            out.append(f"[{i}]")
+            out.extend(_record_lines(record, indent="    "))
+        for w, witness in rejected:
+            out.append(f"rejected: {w} violates w(t*g) >= w(f), witness exponent {witness}")
+        return out
+
+    _emit(
+        lambda: {
+            "germ": germ.to_json(),
+            "bound": args.bound,
+            "records": [_record_json(r) for r in records],
+            "rejected": [
+                {"w0": w.to_json(), "witness_exponent": list(witness)}
+                for w, witness in rejected
+            ],
+        },
+        lines,
+        args.json,
+    )
     return EXIT_OK
-
-
-def _parse_weight_arg(text: str):
-    from .lattices import WeightVector
-
-    body, _, denom = text.partition("/")
-    parts = [p.strip() for p in body.split(",")]
-    try:
-        nums = tuple(int(p) for p in parts)
-        d = int(denom) if denom else 1
-    except ValueError:
-        raise CliParseError(f"bad --weights value {text!r}") from None
-    if len(nums) != 3:
-        raise CliParseError(f"--weights needs three entries, got {text!r}")
-    try:
-        return WeightVector(nums, d)
-    except ValueError as exc:  # well-formed but never a valid weight
-        raise DomainRejection(str(exc)) from None
 
 
 def _build_from_args(args) -> ContractionRecord:
     germ = _load_germ(args.spec)
-    w0 = _parse_weight_arg(args.weights)
+    try:
+        w0 = parse_weight(args.weights)
+    except DomainRejection:  # well-formed but never a weight vector: exit 2
+        raise
+    except ValueError as exc:
+        raise CliParseError(f"bad --weights value {args.weights!r}: {exc}") from None
     return build_contraction(germ, w0)
 
 
 def cmd_blowup(args) -> int:
     record = _build_from_args(args)
-    lines = _germ_lines(record.germ)
-    lines.extend(_record_lines(record))
-    if record.germ.case == "T":
-        lines.extend(_census_lines(record))
-    _emit(_record_json(record), lines, args.json)
+    _emit(
+        lambda: _record_json(record),
+        lambda: _germ_lines(record.germ) + _record_lines(record),
+        args.json,
+    )
     return EXIT_OK
 
 
 def cmd_census(args) -> int:
     record = _build_from_args(args)
     data = census(record)  # raises on unsupported shapes: exit 2
-    lines = _germ_lines(record.germ)
-    lines.append(f"w0 = {record.w0}")
-    lines.extend(_census_lines(record))
-    payload = {
-        "germ": record.germ.to_json(),
-        "w0": record.w0.to_json(),
-        "census": data.to_json(),
-    }
-    _emit(payload, lines, args.json)
+    _emit(
+        lambda: {
+            "germ": record.germ.to_json(),
+            "w0": record.w0.to_json(),
+            "census": data.to_json(),
+        },
+        lambda: _germ_lines(record.germ) + [f"w0 = {record.w0}"] + _census_lines(data),
+        args.json,
+    )
     return EXIT_OK
 
 
 def cmd_resolve(args) -> int:
     try:
         expansion = hj_expansion(args.r, args.q)
-        graph = resolve_cyclic(args.r, args.q)
     except ValueError as exc:  # not a normalized quotient datum
         raise DomainRejection(str(exc)) from None
-    payload = {
-        "r": args.r,
-        "q": args.q,
-        "expansion": expansion,
-        "graph": graph.to_json(),
-    }
-    body = "[" + ",".join(str(b) for b in expansion) + "]"
-    _emit(payload, [body], args.json)
+    _emit(
+        lambda: {
+            "r": args.r,
+            "q": args.q,
+            "expansion": expansion,
+            "graph": resolve_cyclic(args.r, args.q).to_json(),
+        },
+        lambda: ["[" + ",".join(str(b) for b in expansion) + "]"],
+        args.json,
+    )
     return EXIT_OK
 
 
@@ -289,17 +285,17 @@ def cmd_cover(args) -> int:
     record = _build_from_args(args)
     data = cover_data(record)
     verified = verify_cover(record)
-    lines = _germ_lines(record.germ) + [
-        f"w0 = {record.w0}   discrepancy = {fraction_to_str(record.discrepancy)}",
-        f"cover degree d = {data.d}, e = {data.e}",
-        f"lifted weights: {data.lifted_weights}",
-        f"covered discrepancy a~ = {data.covered_discrepancy}",
-        f"verified: {'yes' if verified else 'NO'}",
-    ]
-    payload = data.to_json()
-    payload["verified"] = verified
-    payload["w0"] = record.w0.to_json()
-    _emit(payload, lines, args.json)
+    _emit(
+        lambda: {**data.to_json(), "verified": verified, "w0": record.w0.to_json()},
+        lambda: _germ_lines(record.germ) + [
+            f"w0 = {record.w0}   discrepancy = {fraction_to_str(record.discrepancy)}",
+            f"cover degree d = {data.d}, e = {data.e}",
+            f"lifted weights: {data.lifted_weights}",
+            f"covered discrepancy a~ = {data.covered_discrepancy}",
+            f"verified: {'yes' if verified else 'NO'}",
+        ],
+        args.json,
+    )
     return EXIT_OK
 
 

@@ -34,7 +34,7 @@ from math import gcd
 from operator import itemgetter
 
 from .errors import DomainRejection, InternalError, NonAdmissibleWeight, SemistabilityViolation
-from .germs import GermSpec
+from .germs import GermSpec, normal_form
 from .lattices import (
     QuotientLattice,
     WeightVector,
@@ -47,6 +47,7 @@ from .lattices import (
 from .polynomials import (
     SparsePoly,
     format_poly,
+    is_homogeneous,
     min_weight_monomial,
     poly_to_json,
     scaled_graded_piece,
@@ -102,9 +103,6 @@ _DE_TABLE = {
 
 def fixed_weights_DE(case: str, m: int | None = None) -> WeightVector:
     """The unique admissible weight vector for a D or E germ."""
-    from .germs import normal_form
-    from .polynomials import is_homogeneous
-
     if case == "D":
         if m is None or m < 4:
             raise ValueError("case D needs m >= 4")

@@ -33,7 +33,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import GermRejection, InternalError
-from .lattices import QuotientLattice
+from .lattices import QuotientLattice, mu_n_character
 from .polynomials import SparsePoly, is_mu_n_invariant, poly_from_json, poly_to_json
 
 CASES = ("T", "D", "E6", "E7", "E8", "N")
@@ -177,11 +177,8 @@ def validate_germ(raw) -> GermSpec:
 
     germ = replace(germ, a=a)
     lattice = germ.character_lattice
-    if not is_mu_n_invariant(lattice, germ.tg):
-        bad = next(
-            e for e, _ in germ.tg.items()
-            if (e[0] - e[1] + a * e[2]) % germ.n != 0
-        )
+    bad = next((e for e, _ in germ.tg.items() if mu_n_character(lattice, e)), None)
+    if bad is not None:
         raise GermRejection(
             f"perturbation is not invariant: monomial {bad} has nonzero character"
         )

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import DomainRejection
+
 Vector = tuple[Fraction, ...]
 
 
@@ -188,11 +190,7 @@ class WeightVector:
 
     @classmethod
     def from_fractions(cls, fracs) -> "WeightVector":
-        v = to_vector(fracs, 3)
-        d = 1
-        for c in v:
-            d = d * c.denominator // gcd(d, c.denominator)
-        nums = tuple(int(c * d) for c in v)
+        nums, d = _scaled(to_vector(fracs, 3))
         return cls(nums, d)  # gcd(nums) > 1 fails validation, as it should
 
     @property
@@ -233,11 +231,18 @@ def weight_is_primitive(lattice: QuotientLattice, w: WeightVector) -> bool:
 
 
 def parse_weight(text: str) -> WeightVector:
-    """Parse "a1,a2,a3" or "a1,a2,a3/d" into a WeightVector."""
+    """Parse "a1,a2,a3" or "a1,a2,a3/d" into a WeightVector.
+
+    Malformed text raises ValueError; integers that make no weight vector
+    (e.g. "2,2,2" or "1,5,3/0") raise DomainRejection.
+    """
     body, _, denom = text.partition("/")
     parts = [p.strip() for p in body.split(",")]
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated entries, got {text!r}")
     nums = tuple(int(p) for p in parts)
     d = int(denom) if denom else 1
-    return WeightVector(nums, d)
+    try:
+        return WeightVector(nums, d)
+    except ValueError as exc:
+        raise DomainRejection(str(exc)) from None

@@ -27,7 +27,14 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InternalError
-from .lattices import WeightVector, prime_factors, to_vector
+from .lattices import (
+    QuotientLattice,
+    WeightVector,
+    fraction_to_str,
+    is_primitive,
+    lattice_contains,
+    to_vector,
+)
 
 Vector2 = tuple[Fraction, Fraction]
 
@@ -154,27 +161,6 @@ def duval_graph(label: str) -> DualGraph:
 # rank-2 toric cones over Z^2 + Z*(1/r)(1, q)
 
 
-def _contains2(r: int, q: int, v: Vector2) -> bool:
-    scaled = [r * c for c in v]
-    if any(c.denominator != 1 for c in scaled):
-        return False
-    m = [int(c) for c in scaled]
-    j = m[0] % r
-    return (q * j) % r == m[1] % r
-
-
-def _primitive2(r: int, q: int, v: Vector2) -> bool:
-    if not _contains2(r, q, v):
-        raise ValueError(f"{v} does not lie in the lattice")
-    content = gcd(int(r * v[0]), int(r * v[1]))
-    if content == 0:
-        raise ValueError("the zero vector is not primitive")
-    for p in prime_factors(content):
-        if _contains2(r, q, (v[0] / p, v[1] / p)):
-            return False
-    return True
-
-
 def _coords2(r: int, q: int, v: Vector2) -> tuple[int, int]:
     # coordinates in the lattice basis {(1/r)(1, q), (0, 1)}
     a = r * v[0]
@@ -235,17 +221,22 @@ class SurfaceCone:
         rays = tuple(to_vector(ray, 2) for ray in self.rays)
         if rays[0][0] * rays[1][1] - rays[0][1] * rays[1][0] == 0:
             raise ValueError("cone rays must be linearly independent")
+        for ray in rays:
+            if not (self.contains_ray(ray) and self.ray_is_primitive(ray)):
+                raise ValueError(f"cone ray {ray} is not a primitive lattice vector")
         object.__setattr__(self, "rays", rays)
 
+    # (u, v) -> (u, -u, v) maps Z^2 + Z*(1/r)(1, q) onto the plane slice
+    # x + y = 0 of Z^3 + Z*(1/r)(1, -1, q), so the rank-3 checks decide both.
     def contains_ray(self, v) -> bool:
-        return _contains2(self.r, self.q, to_vector(v, 2))
+        u, w = to_vector(v, 2)
+        return lattice_contains(QuotientLattice(3, self.r, self.q), (u, -u, w))
 
     def ray_is_primitive(self, v) -> bool:
-        return _primitive2(self.r, self.q, to_vector(v, 2))
+        u, w = to_vector(v, 2)
+        return is_primitive(QuotientLattice(3, self.r, self.q), (u, -u, w))
 
     def to_json(self) -> dict:
-        from .lattices import fraction_to_str
-
         return {
             "r": self.r,
             "q": self.q,

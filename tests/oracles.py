@@ -33,6 +33,15 @@ def oracle_primitive(n, a, v, dim=3):
     return True
 
 
+def oracle_contains2(r, q, v):
+    """Whether the plane vector v lies in Z^2 + Z*(1/r)(1, q), scanning every j."""
+    return any(
+        (Fraction(v[0]) - Fraction(j, r)).denominator == 1
+        and (Fraction(v[1]) - Fraction(j * q, r)).denominator == 1
+        for j in range(r)
+    )
+
+
 def brute_force_weights_T(n, a, k, bound):
     """All admissible case-T weight vectors, as a set of rational triples.
 

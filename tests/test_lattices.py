@@ -154,8 +154,13 @@ def test_weight_lattice_checks():
 def test_parse_weight():
     assert ss.parse_weight("1,5,3/2") == ss.WeightVector((1, 5, 3), 2)
     assert ss.parse_weight("6,4,3") == ss.WeightVector((6, 4, 3))
-    with pytest.raises(ValueError):
-        ss.parse_weight("1,5")
+    for malformed in ("1,5", "a,b,c"):
+        with pytest.raises(ValueError) as info:
+            ss.parse_weight(malformed)
+        assert not isinstance(info.value, ss.DomainRejection)
+    for not_a_weight in ("2,2,2", "1,5,3/0"):
+        with pytest.raises(ss.DomainRejection):
+            ss.parse_weight(not_a_weight)
 
 
 def test_fraction_serialization():

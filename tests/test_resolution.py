@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 import semistable as ss
+from oracles import PRIMES, oracle_contains2
 from semistable import SurfaceCone
 
 
@@ -113,6 +114,31 @@ def test_surface_cone_validation():
         SurfaceCone(4, 2)
     with pytest.raises(ValueError):
         SurfaceCone(2, 1, rays=((1, 1), (2, 2)))
+
+
+def test_surface_cone_rejects_rays_off_the_lattice():
+    with pytest.raises(ValueError):
+        SurfaceCone(4, 1, rays=((Fraction(1, 3), 0), (0, 1)))  # not a member
+    with pytest.raises(ValueError):
+        SurfaceCone(1, 0, rays=((2, 0), (0, 1)))  # imprimitive
+
+
+@pytest.mark.parametrize("r,q", [(1, 0), (2, 1), (4, 1), (5, 2), (6, 5), (7, 3), (9, 2), (12, 5)])
+def test_cone_lattice_checks_match_oracle(r, q):
+    cone = SurfaceCone(r, q)
+    for den in sorted({1, 2, r, 2 * r}):
+        for x in range(-den - 2, den + 3):
+            for y in range(-den - 2, den + 3):
+                ray = (Fraction(x, den), Fraction(y, den))
+                member = oracle_contains2(r, q, ray)
+                assert cone.contains_ray(ray) == member, ray
+                if not member or ray == (0, 0):
+                    continue
+                primitive = not any(
+                    oracle_contains2(r, q, (ray[0] / p, ray[1] / p)) for p in PRIMES
+                    if p <= 3 * r
+                )
+                assert cone.ray_is_primitive(ray) == primitive, ray
 
 
 def test_subdivide_quadrant_examples():
