@@ -37,17 +37,16 @@ and the census reads off three kinds of points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .contractions import ContractionRecord
 from .errors import DomainRejection, InternalError, UnsupportedForm
 from .polynomials import SparsePoly, squarefree_multiplicities
 
 
-@dataclass(frozen=True)
-class ReducedPerturbation:
+class ReducedPerturbation(NamedTuple):
     """Leading data of a reduced perturbation: c_i = b_i(0), t-orders of b_i, l-indices."""
 
     k: int
@@ -139,8 +138,7 @@ def reduced_g_coefficients(record: ContractionRecord) -> ReducedPerturbation:
     )
 
 
-@dataclass(frozen=True)
-class InteriorEntry:
+class InteriorEntry(NamedTuple):
     """deg-many A_(l-1) points (roots counted in the algebraic closure)."""
 
     l: int
@@ -179,8 +177,7 @@ def _interior(record: ContractionRecord, red: ReducedPerturbation) -> list[Inter
     return entries
 
 
-@dataclass(frozen=True)
-class OriginEntry:
+class OriginEntry(NamedTuple):
     """Quotient-deformation germ at the origin of the t-chart (index case d > 1)."""
 
     index: int  # d
@@ -257,8 +254,7 @@ def _origin(record: ContractionRecord, red: ReducedPerturbation) -> OriginEntry 
     )
 
 
-@dataclass(frozen=True)
-class CornerEntry:
+class CornerEntry(NamedTuple):
     """Pair germ (xy = 0) in (1/r)(1,-1,c) at a coordinate point of E."""
 
     point: str
@@ -302,8 +298,7 @@ def corner_singularities(record: ContractionRecord) -> tuple[CornerEntry, Corner
     return corners[0], corners[1]
 
 
-@dataclass(frozen=True)
-class SingularityCensus:
+class SingularityCensus(NamedTuple):
     interior: tuple[InteriorEntry, ...]
     origin: OriginEntry | None
     corners: tuple[CornerEntry, CornerEntry]

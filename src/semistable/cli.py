@@ -8,8 +8,9 @@ Germ inputs are JSON files:
 
 All rationals render as "p/q" strings, never floats.  Exit codes: 0 success,
 2 mathematical rejection (invalid germ, inadmissible weights, unsupported
-census shape), 3 I/O or parse failure.  Output is deterministic for a fixed
-input and flag set.
+census shape), 3 when the germ file or the command line cannot be read or
+parsed.  Any other exception is a library bug and is not mapped to an exit
+code.  Output is deterministic for a fixed input and flag set.
 """
 
 from __future__ import annotations
@@ -43,8 +44,11 @@ class Parser(argparse.ArgumentParser):
 
 
 def _load_germ(path: str) -> GermSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except (OSError, ValueError) as exc:  # ValueError: JSON or UTF-8 decoding
+        raise CliParseError(f"cannot read germ file {path!r}: {exc}") from None
     return validate_germ(raw)
 
 
@@ -196,8 +200,8 @@ def cmd_classify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     germ = _load_germ(args.spec)
-    if germ.case == "T" and args.bound is None:
-        raise CliParseError("case-T enumeration needs --bound")
+    if germ.case == "T" and (args.bound is None or args.bound < 0):
+        raise CliParseError("case-T enumeration needs a nonnegative --bound")
     records, rejected = enumerate_contractions(germ, args.bound)
 
     def lines():
@@ -352,9 +356,6 @@ def main(argv=None) -> int:
     except DomainRejection as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

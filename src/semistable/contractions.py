@@ -28,10 +28,10 @@ assembled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import DomainRejection, InternalError, NonAdmissibleWeight, SemistabilityViolation
 from .germs import GermSpec, normal_form
@@ -166,8 +166,7 @@ def discrepancy(germ: GermSpec, w0: WeightVector) -> Fraction:
     return Fraction(_scaled_discrepancy(germ, w0), w0.denominator)
 
 
-@dataclass(frozen=True)
-class ContractionRecord:
+class ContractionRecord(NamedTuple):
     """One weighted blowup of a germ, with its exceptional divisor data.
 
     E lives in the weighted projective space P(a1, a2, a3, d) and is cut out

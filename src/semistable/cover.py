@@ -14,15 +14,15 @@ kept; the cover is never built as a variety.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .contractions import ContractionRecord
 from .errors import InternalError
+from .lattices import ratio_to_str
 from .polynomials import valuation_with_weights
 
 
-@dataclass(frozen=True)
-class CoverData:
+class CoverData(NamedTuple):
     d: int
     e: int
     lifted_weights: tuple[int, int, int, int]
@@ -38,26 +38,26 @@ class CoverData:
 
 
 def cover_data(record: ContractionRecord) -> CoverData:
-    """Cover degree, lifted weights, and the covered discrepancy a*d + d - 1."""
-    disc = record.discrepancy
-    d = disc.denominator
+    """Cover degree, lifted weights, and the covered discrepancy a*d + d - 1.
+
+    Runs on integers: the weights (w0, 1) are (a1, a2, a3, den)/den, so the
+    lifted weights are d*a_i/den, and a*d is the discrepancy's numerator.
+    """
+    d = record.discrepancy.denominator
     n = record.germ.n
     if n % d:
         raise InternalError(f"the discrepancy denominator {d} must divide the index {n}")
+    den = record.w0.denominator
     lifted = []
-    for w in record.w0.extended:
-        scaled = d * w
-        if scaled.denominator != 1:
-            raise InternalError(f"lifted weight {scaled} must be integral")
-        lifted.append(int(scaled))
-    covered = disc * d + d - 1
-    if covered.denominator != 1:
-        raise InternalError(f"covered discrepancy {covered} must be integral")
+    for c in (*record.w0.numerators, den):
+        if d * c % den:
+            raise InternalError(f"lifted weight {ratio_to_str(d * c, den)} must be integral")
+        lifted.append(d * c // den)
     return CoverData(
         d=d,
         e=n // d,
         lifted_weights=tuple(lifted),
-        covered_discrepancy=int(covered),
+        covered_discrepancy=record.discrepancy.numerator + d - 1,
     )
 
 

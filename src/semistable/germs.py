@@ -28,9 +28,9 @@ monomial dictionary x = u^(kn), y = v^(kn), z = uv.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from .errors import GermRejection, InternalError
 from .lattices import QuotientLattice, mu_n_character
@@ -58,13 +58,7 @@ def normal_form(case: str, n: int = 1, k: int | None = None, m: int | None = Non
     raise ValueError(f"unknown case {case!r}")
 
 
-@dataclass(frozen=True)
-class GermSpec:
-    """A validated germ: index n, action weight a on z, case data, perturbation t*g.
-
-    f, g and the equation f + t*g are built once per germ, on first use.
-    """
-
+class _GermFields(NamedTuple):
     n: int
     a: int
     case: str
@@ -72,6 +66,15 @@ class GermSpec:
     m: int | None
     tg: SparsePoly
     rho_one: bool = False
+
+
+class GermSpec(_GermFields):
+    """A validated germ: index n, action weight a on z, case data, perturbation t*g.
+
+    f, g and the equation f + t*g are built once per germ, on first use.
+    They are cached in the instance __dict__ (so this subclass declares no
+    __slots__), which equality and hashing never read.
+    """
 
     @cached_property
     def f(self) -> SparsePoly:
@@ -111,17 +114,23 @@ class GermSpec:
         return out
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer as given: floats, strings and booleans are rejected, not coerced."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise GermRejection(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_raw(raw) -> GermSpec:
     if not isinstance(raw, dict):
         raise GermRejection("germ input must be a JSON object")
     try:
-        n = int(raw["n"])
-        a = int(raw["a"])
-        case = str(raw["case"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GermRejection(f"malformed germ input: {exc}") from None
-    k = int(raw["k"]) if raw.get("k") is not None else None
-    m = int(raw["m"]) if raw.get("m") is not None else None
+        n, a, case = raw["n"], raw["a"], str(raw["case"])
+    except KeyError as exc:
+        raise GermRejection(f"malformed germ input: missing {exc}") from None
+    n, a = _json_int(n, "n"), _json_int(a, "a")
+    k = _json_int(raw["k"], "k") if raw.get("k") is not None else None
+    m = _json_int(raw["m"], "m") if raw.get("m") is not None else None
     sign = raw.get("sign", "+")
     if sign not in ("+", "-"):
         raise GermRejection(f"sign must be '+' or '-', got {sign!r}")
@@ -130,7 +139,9 @@ def _parse_raw(raw) -> GermSpec:
         g = poly_from_json(g_data, dim=4)
     except (KeyError, TypeError, ValueError) as exc:
         raise GermRejection(f"malformed perturbation g: {exc}") from None
-    rho_one = bool(raw.get("rho_one", False))
+    rho_one = raw.get("rho_one", False)
+    if type(rho_one) is not bool:
+        raise GermRejection(f"rho_one must be true or false, got {rho_one!r}")
     return GermSpec(n=n, a=a, case=case, k=k, m=m, tg=g.times_t(), rho_one=rho_one)
 
 
@@ -175,7 +186,7 @@ def validate_germ(raw) -> GermSpec:
                 "it enters the germ only as t*g"
             )
 
-    germ = replace(germ, a=a)
+    germ = germ._replace(a=a)
     lattice = germ.character_lattice
     bad = next((e for e, _ in germ.tg.items() if mu_n_character(lattice, e)), None)
     if bad is not None:
@@ -187,8 +198,7 @@ def validate_germ(raw) -> GermSpec:
     return germ
 
 
-@dataclass(frozen=True)
-class FibreQuotientData:
+class FibreQuotientData(NamedTuple):
     """Cyclic quotient data of a case-T fibre: A^2/(1/r)(1, q) with its chart dictionary."""
 
     r: int

@@ -21,9 +21,9 @@ vectors and for `WeightVector`s alike.  No floating point anywhere; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import DomainRejection
 
@@ -75,21 +75,25 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-@dataclass(frozen=True)
-class QuotientLattice:
-    """The lattice Z^dim + Z*(1/n)(1, -1, a[, 0]) with gcd(a, n) = 1."""
-
+class _QuotientLatticeFields(NamedTuple):
     dim: int
     n: int
     a: int
 
-    def __post_init__(self):
-        if self.dim not in (3, 4):
+
+class QuotientLattice(_QuotientLatticeFields):
+    """The lattice Z^dim + Z*(1/n)(1, -1, a[, 0]) with gcd(a, n) = 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, dim: int, n: int, a: int):
+        if dim not in (3, 4):
             raise ValueError("lattice dimension must be 3 or 4")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("index n must be a positive integer")
-        if gcd(self.a, self.n) != 1:
-            raise ValueError(f"gcd(a, n) must be 1, got a={self.a}, n={self.n}")
+        if gcd(a, n) != 1:
+            raise ValueError(f"gcd(a, n) must be 1, got a={a}, n={n}")
+        return super().__new__(cls, dim, n, a)
 
     @property
     def generator(self) -> Vector:
@@ -165,8 +169,12 @@ def mu_n_character(lattice: QuotientLattice, exponents) -> int:
     return (i - j + lattice.a * k) % lattice.n
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class _WeightVectorFields(NamedTuple):
+    numerators: tuple[int, int, int]
+    denominator: int
+
+
+class WeightVector(_WeightVectorFields):
     """A fractional weight (1/d)(a1, a2, a3) on the chart coordinates x, y, z.
 
     Entries are strictly positive with gcd 1, so d is the exact common
@@ -175,18 +183,17 @@ class WeightVector:
     rejected: they are never primitive in any ambient lattice.
     """
 
-    numerators: tuple[int, int, int]
-    denominator: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        nums = tuple(int(c) for c in self.numerators)
-        object.__setattr__(self, "numerators", nums)
+    def __new__(cls, numerators: tuple[int, int, int], denominator: int = 1):
+        nums = tuple(int(c) for c in numerators)
         if len(nums) != 3 or any(c <= 0 for c in nums):
             raise ValueError("weight entries must be three positive integers")
-        if self.denominator < 1:
+        if denominator < 1:
             raise ValueError("weight denominator must be positive")
         if gcd(gcd(nums[0], nums[1]), nums[2]) != 1:
             raise ValueError(f"weight entries must be coprime, got {nums}")
+        return super().__new__(cls, nums, denominator)
 
     @classmethod
     def from_fractions(cls, fracs) -> "WeightVector":

@@ -13,9 +13,9 @@ computations.  `monomial_weight`, `valuation` and the graded pieces hand out
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import ZeroPolynomialError
 from .lattices import QuotientLattice, WeightVector, fraction_to_str, mu_n_character
@@ -186,11 +186,16 @@ def poly_to_json(p: SparsePoly) -> list[dict]:
 
 
 def poly_from_json(data, dim: int = 4) -> SparsePoly:
+    """Read a monomial list; exponents must be integers and coefficients rational strings."""
     terms = {}
     for entry in data:
-        exp = tuple(int(e) for e in entry["exp"])
-        coeff = Fraction(str(entry["coeff"]))
-        terms[exp] = terms.get(exp, Fraction(0)) + coeff
+        exp = tuple(entry["exp"])
+        if any(type(e) is not int for e in exp):  # bool is a subclass of int
+            raise TypeError(f"exponents must be integers, got {entry['exp']!r}")
+        coeff = entry["coeff"]
+        if not isinstance(coeff, str):
+            raise TypeError(f"coefficient must be a rational string, got {coeff!r}")
+        terms[exp] = terms.get(exp, Fraction(0)) + Fraction(coeff)
     return SparsePoly(terms, dim=dim)
 
 
@@ -258,8 +263,7 @@ def is_homogeneous(w: WeightVector, h: SparsePoly) -> tuple[bool, Fraction | Non
     return False, None
 
 
-@dataclass(frozen=True)
-class GradedPiece:
+class GradedPiece(NamedTuple):
     weight: Fraction
     part: SparsePoly
 

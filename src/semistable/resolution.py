@@ -22,9 +22,9 @@ k*n*alpha_2, alpha_1 + alpha_2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import InternalError
 from .lattices import (
@@ -61,14 +61,12 @@ def hj_evaluate(entries) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class GraphVertex:
+class GraphVertex(NamedTuple):
     self_intersection: int
     label: str
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(NamedTuple):
     """Labeled resolution graph; fork is the index of the degree-3 vertex, if any."""
 
     vertices: tuple[GraphVertex, ...]
@@ -201,30 +199,34 @@ def _cone_type(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     return beta, q_prime
 
 
-@dataclass(frozen=True)
-class SurfaceCone:
-    """A 2-dimensional cone in Z^2 + Z*(1/r)(1, q); defaults to the quadrant."""
+_QUADRANT = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
+
+class _SurfaceConeFields(NamedTuple):
     r: int
     q: int
-    rays: tuple[Vector2, Vector2] = field(
-        default=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    )
+    rays: tuple[Vector2, Vector2]
 
-    def __post_init__(self):
-        if self.r < 1:
+
+class SurfaceCone(_SurfaceConeFields):
+    """A 2-dimensional cone in Z^2 + Z*(1/r)(1, q); defaults to the quadrant."""
+
+    __slots__ = ()
+
+    def __new__(cls, r: int, q: int, rays=_QUADRANT):
+        if r < 1:
             raise ValueError("r must be positive")
-        q = self.q % self.r if self.r > 1 else 0
-        if self.r > 1 and gcd(q, self.r) != 1:
-            raise ValueError(f"gcd(q, r) must be 1, got q={self.q}, r={self.r}")
-        object.__setattr__(self, "q", q)
-        rays = tuple(to_vector(ray, 2) for ray in self.rays)
+        normalized_q = q % r if r > 1 else 0
+        if r > 1 and gcd(normalized_q, r) != 1:
+            raise ValueError(f"gcd(q, r) must be 1, got q={q}, r={r}")
+        rays = tuple(to_vector(ray, 2) for ray in rays)
         if rays[0][0] * rays[1][1] - rays[0][1] * rays[1][0] == 0:
             raise ValueError("cone rays must be linearly independent")
+        self = super().__new__(cls, r, normalized_q, rays)
         for ray in rays:
             if not (self.contains_ray(ray) and self.ray_is_primitive(ray)):
                 raise ValueError(f"cone ray {ray} is not a primitive lattice vector")
-        object.__setattr__(self, "rays", rays)
+        return self
 
     # (u, v) -> (u, -u, v) maps Z^2 + Z*(1/r)(1, q) onto the plane slice
     # x + y = 0 of Z^3 + Z*(1/r)(1, -1, q), so the rank-3 checks decide both.

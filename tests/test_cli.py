@@ -78,6 +78,28 @@ def test_malformed_json_is_parse_failure(tmp_path, capsys):
     assert main(["classify", str(path)]) == 3
 
 
+def test_undecodable_germ_file_is_parse_failure(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["classify", str(path)]) == 3
+
+
+@pytest.mark.parametrize("k", [[1], "x"], ids=["list", "string"])
+def test_malformed_k_is_a_germ_rejection(germ_file, capsys, k):
+    assert main(["classify", germ_file({**QUADRIC, "k": k})]) == 2
+    assert "k must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_library_errors_are_not_parse_failures(germ_file, monkeypatch, error):
+    def broken(germ):
+        raise error("library bug")
+
+    monkeypatch.setattr("semistable.cli.fibre_singularity", broken)
+    with pytest.raises(error, match="library bug"):
+        main(["classify", germ_file(QUADRIC)])
+
+
 def test_resolve_prints_expansion(capsys):
     assert main(["resolve", "5", "2"]) == 0
     assert capsys.readouterr().out.strip() == "[3,2]"
@@ -102,6 +124,11 @@ def test_enumerate_E6(germ_file, capsys):
 
 def test_enumerate_needs_bound_for_case_T(germ_file, capsys):
     assert main(["enumerate", germ_file(QUADRIC)]) == 3
+
+
+def test_enumerate_negative_bound_is_parse_failure(germ_file, capsys):
+    assert main(["enumerate", germ_file(QUADRIC), "--bound", "-1"]) == 3
+    assert "nonnegative --bound" in capsys.readouterr().err
 
 
 def test_enumerate_bound_zero(germ_file, capsys):

@@ -161,6 +161,22 @@ def test_validate_rejects_non_object_input():
         ss.validate_germ([1, 2, 3])
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        raw_T(5.7, 2, 1),
+        raw_T(2, 1, True),
+        raw_T(2, 1, 1, rho_one="false"),
+        raw_T(2, 1, 1, [{"coeff": "1", "exp": [0, 0, 0, 2.9]}]),
+        raw_T(2, 1, 1, [{"coeff": 0.5, "exp": [0, 0, 0, 2]}]),
+    ],
+    ids=["float-n", "bool-k", "string-rho_one", "float-exponent", "float-coeff"],
+)
+def test_validate_rejects_instead_of_coercing(raw):
+    with pytest.raises(ss.GermRejection):
+        ss.validate_germ(raw)
+
+
 def test_germ_json_round_trip():
     germ = ss.validate_germ(QUADRIC)
     again = ss.validate_germ(germ.to_json())

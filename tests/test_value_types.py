@@ -1,0 +1,135 @@
+"""The record and value types: immutable, compared field by field, stable repr.
+
+They are `typing.NamedTuple`s (the validated ones subclass a NamedTuple
+base), so importing the command line must not load `dataclasses`.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import semistable as ss
+
+ROOT = Path(__file__).resolve().parent.parent
+
+QUADRIC = {"n": 2, "a": 1, "case": "T", "k": 1, "g": [{"coeff": "1", "exp": [0, 0, 0, 2]}]}
+BARE = {"n": 2, "a": 1, "case": "T", "k": 1, "g": []}
+CUBIC = {
+    "n": 1, "a": 0, "case": "T", "k": 3,
+    "g": [{"coeff": "-3", "exp": [0, 0, 1, 1]}, {"coeff": "2", "exp": [0, 0, 0, 2]}],
+}
+GERM_REPR = "GermSpec(n=2, a=1, case='T', k=1, m=None, tg=SparsePoly(t^3), rho_one=False)"
+
+
+def record(raw=QUADRIC, weights=((1, 5, 3), 2)):
+    return ss.build_contraction(ss.validate_germ(raw), ss.WeightVector(*weights))
+
+
+CASES = {
+    "QuotientLattice": (lambda: ss.QuotientLattice(3, 5, 2), "QuotientLattice(dim=3, n=5, a=2)"),
+    "WeightVector": (
+        lambda: ss.WeightVector((1, 5, 3), 2),
+        "WeightVector(numerators=(1, 5, 3), denominator=2)",
+    ),
+    "SurfaceCone": (
+        lambda: ss.SurfaceCone(5, 7),
+        "SurfaceCone(r=5, q=2, rays=((Fraction(1, 1), Fraction(0, 1)), "
+        "(Fraction(0, 1), Fraction(1, 1))))",
+    ),
+    "GermSpec": (lambda: ss.validate_germ(QUADRIC), GERM_REPR),
+    "FibreQuotientData": (
+        lambda: ss.fibre_singularity(ss.validate_germ(QUADRIC)),
+        "FibreQuotientData(r=4, q=1, dictionary=(('x', (2, 0)), ('y', (0, 2)), ('z', (1, 1))))",
+    ),
+    "GradedPiece": (
+        lambda: ss.graded_decomposition(ss.WeightVector((1, 5, 3), 2), ss.normal_form("T", 2, 1))[0],
+        "GradedPiece(weight=Fraction(3, 1), part=SparsePoly(x*y + z^2))",
+    ),
+    "ContractionRecord": (
+        record,
+        f"ContractionRecord(germ={GERM_REPR}, "
+        "w0=WeightVector(numerators=(1, 5, 3), denominator=2), lam=Fraction(3, 1), "
+        "discrepancy=Fraction(3, 2), ambient=(1, 5, 3, 2), "
+        "E_equation=SparsePoly(x*y + z^2 + t^3), semistable_ok=True, "
+        "contraction_status='pending-rho')",
+    ),
+    "CoverData": (
+        lambda: ss.cover_data(record()),
+        "CoverData(d=2, e=1, lifted_weights=(1, 5, 3, 2), covered_discrepancy=4)",
+    ),
+    "ReducedPerturbation": (
+        lambda: ss.reduced_g_coefficients(record()),
+        "ReducedPerturbation(k=1, n=2, e=1, a3=3, c=((0, Fraction(1, 1)),), "
+        "series_orders=((0, 0),), l_series=0, caveat=None)",
+    ),
+    "InteriorEntry": (
+        lambda: ss.interior_census(record(CUBIC, ((1, 2, 1), 1)))[0],
+        "InteriorEntry(l=2, count=1)",
+    ),
+    "OriginEntry": (
+        lambda: ss.origin_singularity(record(BARE)),
+        "OriginEntry(index=2, b=1, z_power=2, quotient=(1, 2, 1), r=4, q=1, l_fibre=1, "
+        "l_series=None, divergent=False, "
+        "deformation='xy + z^2 + t*g(z^2, t) = 0  in  (1/2)(1,-1,1,0)', "
+        "caveat='perturbation is zero to the supplied order')",
+    ),
+    "CornerEntry": (
+        lambda: ss.corner_singularities(record())[1],
+        "CornerEntry(point='(0:1:0:0)', r=5, c=4)",
+    ),
+    "SingularityCensus": (
+        lambda: ss.census(record()),
+        "SingularityCensus(interior=(), origin=None, "
+        "corners=(CornerEntry(point='(1:0:0:0)', r=1, c=0), "
+        "CornerEntry(point='(0:1:0:0)', r=5, c=4)))",
+    ),
+    "GraphVertex": (
+        lambda: ss.GraphVertex(-2, "C1"),
+        "GraphVertex(self_intersection=-2, label='C1')",
+    ),
+    "DualGraph": (
+        lambda: ss.duval_graph("A2"),
+        "DualGraph(vertices=(GraphVertex(self_intersection=-2, label='E1'), "
+        "GraphVertex(self_intersection=-2, label='E2')), edges=((0, 1),), fork=None)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_value_type_contract(name):
+    build, expected_repr = CASES[name]
+    value, again = build(), build()
+    assert type(value).__name__ == name
+    for field in type(value)._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    assert value == again and value is not again
+    assert hash(value) == hash(again)
+    assert repr(value) == expected_repr
+
+
+def test_germ_cached_properties_survive():
+    germ = ss.validate_germ(QUADRIC)  # validate_germ normalizes a through _replace
+    assert type(germ) is ss.GermSpec
+    f, g, equation = germ.f, germ.g, germ.equation
+    assert germ.f is f and germ.g is g and germ.equation is equation
+    assert equation == f + germ.tg
+    fresh = ss.validate_germ(QUADRIC)  # nothing cached yet
+    assert germ == fresh and hash(germ) == hash(fresh)
+    assert fresh.equation == equation
+
+
+def test_cli_import_loads_no_dataclasses():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", "import semistable.cli; import sys; print(sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    modules = set(ast.literal_eval(result.stdout))
+    assert "semistable.cli" in modules
+    assert not modules & {"dataclasses", "inspect"}
