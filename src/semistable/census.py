@@ -63,12 +63,6 @@ class ReducedPerturbation(NamedTuple):
         """Least i with c_i != 0; k when every c_i vanishes (h = z^(k*n))."""
         return self.c[0][0] if self.c else self.k
 
-    def coefficient(self, i: int) -> Fraction:
-        for idx, value in self.c:
-            if idx == i:
-                return value
-        return Fraction(0)
-
     def chart_polynomial(self) -> SparsePoly:
         """h(z') = z'^(k*n) + sum c_i z'^(i*n), as a univariate polynomial in z."""
         terms = {(0, 0, self.k * self.n, 0): Fraction(1)}

@@ -124,7 +124,7 @@ def _record_lines(record: ContractionRecord, indent: str = "") -> list[str]:
         f"semistable: {'yes' if record.semistable_ok else 'no'}",
     ]
     data = cover_data(record)
-    verified = "yes" if verify_cover(record) else "NO"
+    verified = "yes" if verify_cover(record, data) else "NO"
     lines.append(
         f"{indent}cover: d={data.d} e={data.e} "
         f"lifted={data.lifted_weights} a~={data.covered_discrepancy} "
@@ -142,7 +142,8 @@ def _record_lines(record: ContractionRecord, indent: str = "") -> list[str]:
 
 def _record_json(record: ContractionRecord) -> dict:
     payload = record.to_json()
-    payload["cover"] = {**cover_data(record).to_json(), "verified": verify_cover(record)}
+    cover = cover_data(record)
+    payload["cover"] = {**cover.to_json(), "verified": verify_cover(record, cover)}
     if record.germ.case != "T":
         data, note = None, "census covers only case T"
     else:
@@ -288,7 +289,7 @@ def cmd_resolve(args) -> int:
 def cmd_cover(args) -> int:
     record = _build_from_args(args)
     data = cover_data(record)
-    verified = verify_cover(record)
+    verified = verify_cover(record, data)
     _emit(
         lambda: {**data.to_json(), "verified": verified, "w0": record.w0.to_json()},
         lambda: _germ_lines(record.germ) + [

@@ -61,9 +61,14 @@ def cover_data(record: ContractionRecord) -> CoverData:
     )
 
 
-def verify_cover(record: ContractionRecord) -> bool:
-    """Check a~ two ways: the ramification formula against a direct valuation on the cover."""
-    data = cover_data(record)
+def verify_cover(record: ContractionRecord, data: CoverData | None = None) -> bool:
+    """Check a~ two ways: the ramification formula against a direct valuation on the cover.
+
+    `data` is the record's `cover_data`, passed by a caller that already
+    holds it; it is computed here otherwise.
+    """
+    if data is None:
+        data = cover_data(record)
     direct = (
         sum(data.lifted_weights)
         - valuation_with_weights(data.lifted_weights, record.germ.equation)

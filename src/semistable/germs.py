@@ -245,16 +245,23 @@ def fibre_singularity(germ: GermSpec):
 # guards for the Groebner step; past these the probe just reports inconclusive
 _PROBE_MAX_TERMS = 120
 _PROBE_MAX_DEGREE = 60
+# Work units one probe may spend on its Groebner basis (see _groebner.py): about
+# 1-2 us each on a 2-vCPU Xeon, so about 2 s at most.  No germ of the sympy
+# oracle test (tests/test_isolatedness.py) needs more than 130,000.
+_PROBE_WORK_BUDGET = 1_000_000
 
 
 def isolatedness_probe(germ: GermSpec, t_order: int | None = None) -> str:
     """One-sided isolatedness check on f + t*g.
 
-    Returns "verified" only when the Jacobian ideal of the (optionally
-    t-truncated) equation is certified zero-dimensional, so the total space
-    has at worst finitely many singular points; otherwise "inconclusive".
-    Never returns "false": a truncated or oversized input may hide
-    isolatedness the probe cannot see.
+    Returns "verified" only when the Jacobian ideal (F, dF/dx, dF/dy, dF/dz,
+    dF/dt) of the (optionally t-truncated) equation F is certified
+    zero-dimensional by an exact grevlex Groebner basis over Q, so the total
+    space has at worst finitely many singular points; otherwise
+    "inconclusive".  Never returns "false": a truncated or oversized input,
+    or one whose basis needs more than _PROBE_WORK_BUDGET work units, may
+    hide isolatedness the probe cannot see.  The verdict depends only on
+    the input.
     """
     F = germ.equation if t_order is None else germ.f + germ.tg.t_truncated(t_order)
     if len(F) > _PROBE_MAX_TERMS:
@@ -262,21 +269,21 @@ def isolatedness_probe(germ: GermSpec, t_order: int | None = None) -> str:
     if max(sum(e) for e, _ in F.items()) > _PROBE_MAX_DEGREE:
         return "inconclusive"
 
-    import sympy
+    terms = F._terms
+    system = [terms] + [
+        {e[:v] + (e[v] - 1,) + e[v + 1:]: c * e[v] for e, c in terms.items() if e[v]}
+        for v in range(4)
+    ]
+    # imported on use: a process that does not probe neither loads nor,
+    # without cached bytecode, compiles the Groebner code
+    from ._groebner import Buchberger, BudgetExhausted
 
-    symbols = sympy.symbols("x y z t")
-    expr = sympy.Integer(0)
-    for exp, coeff in F.items():
-        mono = sympy.Integer(1)
-        for s, e in zip(symbols, exp):
-            mono *= s ** e
-        expr += sympy.Rational(coeff.numerator, coeff.denominator) * mono
-    system = [expr] + [sympy.diff(expr, s) for s in symbols]
-    system = [p for p in system if p != 0]
     try:
-        basis = sympy.groebner(system, *symbols, order="grevlex")
-    except Exception:
+        heads = Buchberger(_PROBE_WORK_BUDGET).leading_monomials(system)
+    except BudgetExhausted:
         return "inconclusive"
-    if any(p == 1 for p in basis.exprs):
+    if (0, 0, 0, 0) in heads:
         return "verified"  # empty singular locus
-    return "verified" if basis.is_zero_dimensional else "inconclusive"
+    # zero-dimensional iff every variable has a pure power among the heads
+    pure = {v for e in heads for v, d in enumerate(e) if d and d == sum(e)}
+    return "verified" if len(pure) == 4 else "inconclusive"

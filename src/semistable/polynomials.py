@@ -69,9 +69,6 @@ class SparsePoly:
     def items(self) -> list[tuple[Exponent, Fraction]]:
         return sorted(self._terms.items())
 
-    def coefficient(self, exp) -> Fraction:
-        return self._terms.get(tuple(exp), Fraction(0))
-
     def __len__(self) -> int:
         return len(self._terms)
 

@@ -3,11 +3,14 @@
 Membership scans every residue j instead of solving the congruence chain;
 primitivity tries a fixed prime list instead of factoring the content; the
 weight enumeration below rechecks every filter on its own; valuations sum
-Fraction weights monomial by monomial.  Slow and dumb on purpose.
+Fraction weights monomial by monomial; the isolatedness oracle asks sympy's
+Groebner basis.  Slow and dumb on purpose.
 """
 
 from fractions import Fraction
 from math import floor, gcd
+
+from semistable.germs import _PROBE_MAX_DEGREE, _PROBE_MAX_TERMS
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
           61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
@@ -75,3 +78,32 @@ def oracle_valuation(weights, exponents):
     """Least weight sum(w_i * e_i) over the exponents, with t weighing 1 in slot 4."""
     full = [Fraction(w) for w in weights] + [Fraction(1)]
     return min(sum((w * e for w, e in zip(full, exp)), Fraction(0)) for exp in exponents)
+
+
+def oracle_isolatedness(germ, t_order=None):
+    """The isolatedness probe computed by sympy's Groebner basis: the same
+    guards and verdict rule as `isolatedness_probe`, with no work bound."""
+    F = germ.equation if t_order is None else germ.f + germ.tg.t_truncated(t_order)
+    if len(F) > _PROBE_MAX_TERMS:
+        return "inconclusive"
+    if max(sum(e) for e, _ in F.items()) > _PROBE_MAX_DEGREE:
+        return "inconclusive"
+
+    import sympy
+
+    symbols = sympy.symbols("x y z t")
+    expr = sympy.Integer(0)
+    for exp, coeff in F.items():
+        mono = sympy.Integer(1)
+        for s, e in zip(symbols, exp):
+            mono *= s ** e
+        expr += sympy.Rational(coeff.numerator, coeff.denominator) * mono
+    system = [expr] + [sympy.diff(expr, s) for s in symbols]
+    system = [p for p in system if p != 0]
+    try:
+        basis = sympy.groebner(system, *symbols, order="grevlex")
+    except Exception:
+        return "inconclusive"
+    if any(p == 1 for p in basis.exprs):
+        return "verified"  # empty singular locus
+    return "verified" if basis.is_zero_dimensional else "inconclusive"

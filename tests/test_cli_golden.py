@@ -2,8 +2,7 @@
 
 Each case runs `semistable.cli.main` on a germ file and compares stdout with
 `tests/golden/<name>.txt`.  The expected files pin the rendering, so a change
-to how output is built must leave them passing unchanged.  `classify --probe`
-is left out because it needs sympy.
+to how output is built must leave them passing unchanged.
 """
 
 import json
@@ -38,12 +37,17 @@ E6 = {
     "rho_one": True,
 }
 N3 = {"n": 3, "a": 1, "case": "N", "g": [{"coeff": "1", "exp": [0, 0, 0, 1]}]}
+BARE = {"n": 2, "a": 1, "case": "T", "k": 1, "g": []}
 
 CASES = {
     "classify_T": (QUADRIC, ["classify"]),
     "classify_D": (D4, ["classify"]),
     "classify_E6": (E6, ["classify"]),
     "classify_N": (N3, ["classify"]),
+    "probe_quadric": (QUADRIC, ["classify", "--probe"]),
+    "probe_bare": (BARE, ["classify", "--probe"]),
+    "probe_cubic": (CUBIC, ["classify", "--probe"]),
+    "probe_trunc2": (QUADRIC, ["classify", "--probe", "--trunc-order", "2"]),
     "enumerate_T_origin": (QUADRIC, ["enumerate", "--bound", "3"]),
     "enumerate_T_mixed": (MIXED, ["enumerate", "--bound", "3"]),
     "enumerate_E6": (E6, ["enumerate"]),

@@ -21,6 +21,9 @@ def test_cover_data_quadric():
     equation = record.germ.f + record.germ.tg
     assert ss.valuation_with_weights(data.lifted_weights, equation) == 6
     assert ss.verify_cover(record)
+    # the caller's CoverData is the one checked
+    assert ss.verify_cover(record, data)
+    assert not ss.verify_cover(record, data._replace(covered_discrepancy=5))
 
 
 def test_cover_trivial_at_index_one():

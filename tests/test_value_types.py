@@ -1,7 +1,8 @@
 """The record and value types: immutable, compared field by field, stable repr.
 
 They are `typing.NamedTuple`s (the validated ones subclass a NamedTuple
-base), so importing the command line must not load `dataclasses`.
+base), so importing the command line must not load `dataclasses`; the
+isolatedness probe runs in-process, so it must not load sympy.
 """
 
 import ast
@@ -124,12 +125,26 @@ def test_germ_cached_properties_survive():
     assert fresh.equation == equation
 
 
+PROBE_SCRIPT = f"""
+import sys
+import semistable.cli
+print(sorted(sys.modules))
+from semistable import isolatedness_probe, validate_germ
+print(isolatedness_probe(validate_germ({QUADRIC!r})))
+print(sorted(sys.modules))
+"""
+
+
 def test_cli_import_loads_no_dataclasses():
+    """Importing the CLI loads no `dataclasses`; running the probe loads no sympy."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run(
-        [sys.executable, "-c", "import semistable.cli; import sys; print(sorted(sys.modules))"],
+        [sys.executable, "-c", PROBE_SCRIPT],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    modules = set(ast.literal_eval(result.stdout))
+    imported, verdict, probed = result.stdout.splitlines()
+    modules = set(ast.literal_eval(imported))
     assert "semistable.cli" in modules
     assert not modules & {"dataclasses", "inspect"}
+    assert verdict == "verified"
+    assert not any(m == "sympy" or m.startswith("sympy.") for m in ast.literal_eval(probed))
