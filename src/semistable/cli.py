@@ -7,29 +7,34 @@ Germ inputs are JSON files:
      "rho_one": false}
 
 All rationals render as "p/q" strings, never floats.  Exit codes: 0 success,
+1 when stdout is closed before the output is written (a broken pipe),
 2 mathematical rejection (invalid germ, inadmissible weights, unsupported
 census shape), 3 when the germ file or the command line cannot be read or
 parsed.  Any other exception is a library bug and is not mapped to an exit
 code.  Output is deterministic for a fixed input and flag set.
+
+Each subcommand imports the library modules it runs when it starts, so a
+process loads and (without cached bytecode) compiles only those.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
-from .census import SingularityCensus, census
-from .contractions import ContractionRecord, build_contraction, enumerate_contractions
-from .cover import cover_data, verify_cover
-from .errors import DomainRejection, UnsupportedForm
-from .germs import FibreQuotientData, GermSpec, fibre_singularity, isolatedness_probe, validate_germ
-from .lattices import fraction_to_str, parse_weight
-from .polynomials import format_poly
-from .resolution import DualGraph, duval_graph, hj_expansion, resolve_cyclic
+from .errors import DomainRejection
+
+if TYPE_CHECKING:
+    from .contractions import ContractionRecord
+    from .germs import GermSpec
+    from .resolution import DualGraph
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_REJECTED = 2
 EXIT_PARSE = 3
 
@@ -44,6 +49,8 @@ class Parser(argparse.ArgumentParser):
 
 
 def _load_germ(path: str) -> GermSpec:
+    from .germs import validate_germ
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -63,6 +70,8 @@ def _emit(
 
 
 def _germ_lines(germ: GermSpec) -> list[str]:
+    from .polynomials import format_poly
+
     params = f"n={germ.n}, a={germ.a}"
     if germ.k is not None:
         params += f", k={germ.k}"
@@ -83,79 +92,12 @@ def _graph_line(graph: DualGraph) -> str:
     return f"resolution: [{selfints}]{note}"
 
 
-def _census_lines(data: SingularityCensus, indent: str = "") -> list[str]:
-    lines = []
-    if data.interior:
-        for entry in data.interior:
-            lines.append(
-                f"{indent}interior: {entry.count} x {entry.type_label} (l={entry.l})"
-            )
-    else:
-        lines.append(f"{indent}interior: no A-type points")
-    if data.origin is None:
-        lines.append(f"{indent}origin: smooth or covered by the interior chart")
-    else:
-        o = data.origin
-        divergence = "  [series/fibre indices diverge]" if o.divergent else ""
-        lines.append(
-            f"{indent}origin: (xy + z^{o.z_power} = 0) in (1/{o.index})(1,-1,{o.b}), "
-            f"type 1/{o.r}({1},{o.q}){divergence}"
-        )
-    for corner in data.corners:
-        if corner.smooth:
-            lines.append(f"{indent}corner {corner.point}: smooth")
-        else:
-            lines.append(
-                f"{indent}corner {corner.point}: (xy = 0) in "
-                f"(1/{corner.r})(1,-1,{corner.c})"
-            )
-    return lines
-
-
-def _record_lines(record: ContractionRecord, indent: str = "") -> list[str]:
-    """The record, its cover and, in case T, its census (or why there is none)."""
-    a1, a2, a3, d = record.ambient
-    lines = [
-        f"{indent}w0 = {record.w0}   lambda = {fraction_to_str(record.lam)}   "
-        f"discrepancy = {fraction_to_str(record.discrepancy)}",
-        f"{indent}E = ({format_poly(record.E_equation, ('X', 'Y', 'Z', 'T'))} = 0)"
-        f"  in  P({a1},{a2},{a3},{d})",
-        f"{indent}status: {record.contraction_status}   "
-        f"semistable: {'yes' if record.semistable_ok else 'no'}",
-    ]
-    data = cover_data(record)
-    verified = "yes" if verify_cover(record, data) else "NO"
-    lines.append(
-        f"{indent}cover: d={data.d} e={data.e} "
-        f"lifted={data.lifted_weights} a~={data.covered_discrepancy} "
-        f"verified={verified}"
-    )
-    if record.germ.case == "T":
-        try:
-            lines.extend(_census_lines(census(record), indent))
-        except UnsupportedForm as exc:
-            lines.append(f"{indent}census: unsupported form ({exc})")
-        except DomainRejection as exc:
-            lines.append(f"{indent}census: {exc}")
-    return lines
-
-
-def _record_json(record: ContractionRecord) -> dict:
-    payload = record.to_json()
-    cover = cover_data(record)
-    payload["cover"] = {**cover.to_json(), "verified": verify_cover(record, cover)}
-    if record.germ.case != "T":
-        data, note = None, "census covers only case T"
-    else:
-        try:
-            data, note = census(record).to_json(), None
-        except DomainRejection as exc:  # UnsupportedForm included
-            data, note = None, str(exc)
-    payload.update(census=data, census_note=note)
-    return payload
-
-
 def cmd_classify(args) -> int:
+    from .germs import FibreQuotientData, fibre_singularity, isolatedness_probe
+    from .resolution import duval_graph, resolve_cyclic
+
+    if args.trunc_order is not None and args.trunc_order < 0:
+        raise CliParseError(f"--trunc-order must be nonnegative, got {args.trunc_order}")
     germ = _load_germ(args.spec)
     fibre = fibre_singularity(germ)
     iso = (
@@ -200,6 +142,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from ._records import _record_json, _record_lines
+    from .contractions import enumerate_contractions
+
     germ = _load_germ(args.spec)
     if germ.case == "T" and (args.bound is None or args.bound < 0):
         raise CliParseError("case-T enumeration needs a nonnegative --bound")
@@ -233,6 +178,9 @@ def cmd_enumerate(args) -> int:
 
 
 def _build_from_args(args) -> ContractionRecord:
+    from .contractions import build_contraction
+    from .lattices import parse_weight
+
     germ = _load_germ(args.spec)
     try:
         w0 = parse_weight(args.weights)
@@ -244,6 +192,8 @@ def _build_from_args(args) -> ContractionRecord:
 
 
 def cmd_blowup(args) -> int:
+    from ._records import _record_json, _record_lines
+
     record = _build_from_args(args)
     _emit(
         lambda: _record_json(record),
@@ -254,6 +204,9 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from ._records import _census_lines
+    from .census import census
+
     record = _build_from_args(args)
     data = census(record)  # raises on unsupported shapes: exit 2
     _emit(
@@ -269,6 +222,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_resolve(args) -> int:
+    from .resolution import hj_expansion, resolve_cyclic
+
     try:
         expansion = hj_expansion(args.r, args.q)
     except ValueError as exc:  # not a normalized quotient datum
@@ -287,6 +242,9 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    from .cover import cover_data, verify_cover
+    from .lattices import fraction_to_str
+
     record = _build_from_args(args)
     data = cover_data(record)
     verified = verify_cover(record, data)
@@ -350,7 +308,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe then fails here, inside the try
+        return code
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull so that the flush at
+        # interpreter exit cannot fail again (recipe from the `signal` docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except CliParseError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_PARSE

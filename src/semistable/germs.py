@@ -114,6 +114,9 @@ class GermSpec(_GermFields):
         return out
 
 
+_GERM_KEYS = ("n", "a", "case", "k", "m", "sign", "g", "rho_one")
+
+
 def _json_int(value, name: str) -> int:
     """A JSON integer as given: floats, strings and booleans are rejected, not coerced."""
     if type(value) is not int:  # bool is a subclass of int
@@ -124,6 +127,11 @@ def _json_int(value, name: str) -> int:
 def _parse_raw(raw) -> GermSpec:
     if not isinstance(raw, dict):
         raise GermRejection("germ input must be a JSON object")
+    unknown = [key for key in raw if key not in _GERM_KEYS]
+    if unknown:  # a misspelt optional key would otherwise read as its default
+        raise GermRejection(
+            f"unknown germ key {unknown[0]!r} (allowed: {', '.join(_GERM_KEYS)})"
+        )
     try:
         n, a, case = raw["n"], raw["a"], str(raw["case"])
     except KeyError as exc:

@@ -183,16 +183,31 @@ def poly_to_json(p: SparsePoly) -> list[dict]:
 
 
 def poly_from_json(data, dim: int = 4) -> SparsePoly:
-    """Read a monomial list; exponents must be integers and coefficients rational strings."""
+    """Read a list of {"coeff", "exp"} monomials, strictly.
+
+    Exponents must be integers and coefficients rational strings; any other
+    shape or key, or a zero denominator, raises TypeError or ValueError.
+    """
+    if not isinstance(data, list):
+        raise TypeError(f"expected a list of monomials, got {data!r}")
     terms = {}
     for entry in data:
+        if not isinstance(entry, dict):
+            raise TypeError(f"a monomial must be an object, got {entry!r}")
+        unknown = [key for key in entry if key not in ("coeff", "exp")]
+        if unknown:
+            raise ValueError(f"unknown monomial key {unknown[0]!r} (allowed: coeff, exp)")
         exp = tuple(entry["exp"])
         if any(type(e) is not int for e in exp):  # bool is a subclass of int
             raise TypeError(f"exponents must be integers, got {entry['exp']!r}")
         coeff = entry["coeff"]
         if not isinstance(coeff, str):
             raise TypeError(f"coefficient must be a rational string, got {coeff!r}")
-        terms[exp] = terms.get(exp, Fraction(0)) + Fraction(coeff)
+        try:
+            value = Fraction(coeff)
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {coeff!r} has a zero denominator") from None
+        terms[exp] = terms.get(exp, Fraction(0)) + value
     return SparsePoly(terms, dim=dim)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,12 +94,43 @@ def test_malformed_k_is_a_germ_rejection(germ_file, capsys, k):
     assert "k must be an integer" in capsys.readouterr().err
 
 
+def test_germ_outside_the_json_contract_is_a_rejection(germ_file, capsys):
+    germ = {**QUADRIC, "g": [{"coeff": "1/0", "exp": [0, 0, 0, 2]}]}
+    assert main(["classify", germ_file(germ)]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_negative_trunc_order_is_parse_failure(germ_file, capsys):
+    assert main(["classify", germ_file(QUADRIC), "--probe", "--trunc-order", "-1"]) == 3
+    assert "--trunc-order must be nonnegative" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_1_without_traceback(germ_file):
+    """A reader that stops early (`| head -1`) ends the run with exit 1 and an empty stderr."""
+    path = germ_file({"n": 5, "a": 2, "case": "T", "k": 1, "g": []})  # ~390 kB of text
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "semistable.cli", "enumerate", path, "--bound", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert child.stdout.readline().startswith(b"germ: case T")
+        child.stdout.close()  # the rest no longer fits the pipe, so a write fails
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 1
+    finally:
+        child.kill()
+        child.wait()
+    assert err == b""
+
+
 @pytest.mark.parametrize("error", [ValueError, KeyError])
 def test_library_errors_are_not_parse_failures(germ_file, monkeypatch, error):
     def broken(germ):
         raise error("library bug")
 
-    monkeypatch.setattr("semistable.cli.fibre_singularity", broken)
+    monkeypatch.setattr("semistable.germs.fibre_singularity", broken)
     with pytest.raises(error, match="library bug"):
         main(["classify", germ_file(QUADRIC)])
 

@@ -177,6 +177,21 @@ def test_validate_rejects_instead_of_coercing(raw):
         ss.validate_germ(raw)
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (raw_T(2, 1, 1, [{"coeff": "1/0", "exp": [0, 0, 0, 2]}]), "'1/0' has a zero denominator"),
+        (raw_T(2, 1, 1, rho_on=True), "unknown germ key 'rho_on'"),
+        ({**raw_T(2, 1, 1), "g": {}}, "expected a list of monomials"),
+        (raw_T(2, 1, 1, [{"coeff": "1", "exp": [0, 0, 0, 2], "exq": 1}]), "unknown monomial key 'exq'"),
+    ],
+    ids=["zero-denominator", "misspelt-key", "g-object", "monomial-key"],
+)
+def test_validate_rejects_outside_the_json_contract(raw, message):
+    with pytest.raises(ss.GermRejection, match=message):
+        ss.validate_germ(raw)
+
+
 def test_germ_json_round_trip():
     germ = ss.validate_germ(QUADRIC)
     again = ss.validate_germ(germ.to_json())

@@ -2,10 +2,11 @@
 
 They are `typing.NamedTuple`s (the validated ones subclass a NamedTuple
 base), so importing the command line must not load `dataclasses`; the
-isolatedness probe runs in-process, so it must not load sympy.
+isolatedness probe runs in-process, so it must not load sympy.  The package
+namespace is lazy: each subcommand loads only the modules it runs.
 """
 
-import ast
+import json
 import os
 import subprocess
 import sys
@@ -125,26 +126,99 @@ def test_germ_cached_properties_survive():
     assert fresh.equation == equation
 
 
-PROBE_SCRIPT = f"""
-import sys
+LOADING_SCRIPT = """
+import contextlib, io, json, sys
 import semistable.cli
-print(sorted(sys.modules))
-from semistable import isolatedness_probe, validate_germ
-print(isolatedness_probe(validate_germ({QUADRIC!r})))
-print(sorted(sys.modules))
+
+print(json.dumps(sorted(sys.modules)))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = semistable.cli.main(argv)
+    print(json.dumps([code, out.getvalue(), sorted(sys.modules)]))
 """
 
 
-def test_cli_import_loads_no_dataclasses():
-    """Importing the CLI loads no `dataclasses`; running the probe loads no sympy."""
+def _run_python(script, *args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run(
-        [sys.executable, "-c", PROBE_SCRIPT],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    imported, verdict, probed = result.stdout.splitlines()
-    modules = set(ast.literal_eval(imported))
-    assert "semistable.cli" in modules
+    return result.stdout.splitlines()
+
+
+def test_cli_import_loads_no_dataclasses(tmp_path):
+    """Importing the CLI loads no `dataclasses` and no library module; each
+    subcommand loads only the modules it runs, and the probe loads no sympy."""
+    germ = tmp_path / "quadric.json"
+    germ.write_text(json.dumps(QUADRIC), encoding="utf-8")
+    runs = [["resolve", "5", "2"], ["classify", str(germ), "--probe"]]
+    imported, *after = _run_python(LOADING_SCRIPT, json.dumps(runs))
+
+    modules = set(json.loads(imported))
     assert not modules & {"dataclasses", "inspect"}
-    assert verdict == "verified"
-    assert not any(m == "sympy" or m.startswith("sympy.") for m in ast.literal_eval(probed))
+    assert {m for m in modules if m.startswith("semistable")} == {
+        "semistable", "semistable.cli", "semistable.errors",
+    }
+
+    (code, out, resolved), (probe_code, probe_out, probed) = map(json.loads, after)
+    assert (code, out) == (0, "[3,2]\n")
+    assert not set(resolved) & {
+        f"semistable.{m}" for m in ("germs", "polynomials", "contractions", "census", "cover")
+    }
+    assert probe_code == 0 and "isolatedness: verified" in probe_out
+    assert not set(probed) & {
+        f"semistable.{m}" for m in ("contractions", "census", "cover", "_records")
+    }
+    assert not any(m == "sympy" or m.startswith("sympy.") for m in probed)
+
+
+def test_every_exported_name_resolves_and_is_listed():
+    listed = dir(ss)
+    assert len(ss.__all__) == 67 and ss.__version__ == "0.1.0"
+    for name in ss.__all__:
+        value = getattr(ss, name)
+        assert value.__name__ == name and value.__module__.startswith("semistable.")
+        assert name in listed
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ss.no_such_name
+
+
+CENSUS_NAME_SCRIPTS = {
+    "after-subcommands": """
+import contextlib, io, json, sys
+from semistable.cli import main
+germ, weights = sys.argv[1], "1,5,3/2"
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["enumerate", germ, "--bound", "3"]),
+        main(["blowup", germ, "--weights", weights]),
+        main(["census", germ, "--weights", weights]),
+        main(["cover", germ, "--weights", weights]),
+    ]
+import semistable
+print(json.dumps([codes, semistable.census.__module__, type(semistable.census).__name__]))
+""",
+    "submodule-first": """
+import json, sys
+import semistable.census
+from semistable.census import SingularityCensus
+import semistable
+print(json.dumps([[], semistable.census.__module__, type(semistable.census).__name__]))
+""",
+}
+
+
+@pytest.mark.parametrize("script", CENSUS_NAME_SCRIPTS)
+def test_package_census_stays_the_function(tmp_path, script):
+    """`semistable.census` names both a submodule and a function; the package
+    attribute is the function whichever of the two is imported first."""
+    germ = tmp_path / "quadric.json"
+    germ.write_text(json.dumps(QUADRIC), encoding="utf-8")
+    (line,) = _run_python(CENSUS_NAME_SCRIPTS[script], str(germ))
+    codes, module, kind = json.loads(line)
+    assert all(code == 0 for code in codes)
+    assert (module, kind) == ("semistable.census", "function")
