@@ -19,11 +19,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "census": (
         "CornerEntry", "InteriorEntry", "OriginEntry", "ReducedPerturbation",
-        "SingularityCensus", "census", "corner_singularities", "interior_census",
-        "origin_singularity", "reduced_g_coefficients",
+        "SingularityCensus", "census", "corner_singularities", "reduced_g_coefficients",
     ),
     "contractions": (
-        "ContractionRecord", "admissible_weights_T", "build_contraction", "discrepancy",
+        "ContractionRecord", "admissible_weights_T", "build_contraction",
         "enumerate_contractions", "fixed_weights_DE", "is_admissible",
     ),
     "cover": ("CoverData", "cover_data", "verify_cover"),
@@ -36,13 +35,12 @@ _EXPORTS = {
         "normal_form", "validate_germ",
     ),
     "lattices": (
-        "QuotientLattice", "WeightVector", "fraction_from_str", "fraction_to_str",
-        "is_primitive", "lattice_contains", "mu_n_character", "parse_weight",
-        "weight_in_lattice", "weight_is_primitive",
+        "QuotientLattice", "WeightVector", "fraction_to_str", "is_primitive",
+        "lattice_contains", "mu_n_character", "parse_weight", "weight_in_lattice",
+        "weight_is_primitive",
     ),
     "polynomials": (
-        "GradedPiece", "SparsePoly", "format_poly", "graded_decomposition",
-        "graded_piece", "is_homogeneous", "is_mu_n_invariant", "monomial_weight",
+        "SparsePoly", "format_poly", "is_homogeneous", "is_mu_n_invariant",
         "poly_from_json", "poly_to_json", "squarefree_multiplicities", "valuation",
         "valuation_with_weights",
     ),

@@ -43,6 +43,7 @@ from typing import NamedTuple
 
 from .contractions import ContractionRecord
 from .errors import DomainRejection, InternalError, UnsupportedForm
+from .lattices import fibre_quotient
 from .polynomials import SparsePoly, squarefree_multiplicities
 
 
@@ -146,16 +147,12 @@ class InteriorEntry(NamedTuple):
         return {"type": self.type_label, "count": self.count, "l": self.l}
 
 
-def interior_census(record: ContractionRecord) -> list[InteriorEntry]:
+def _interior(record: ContractionRecord, red: ReducedPerturbation) -> tuple[InteriorEntry, ...]:
     """A-type points of the t-chart away from its quotient origin.
 
     Multiple roots of h(z') of multiplicity l give A_(l-1) points; for d > 1
     the z' = 0 root is stripped first (it is the origin entry's business).
     """
-    return _interior(record, reduced_g_coefficients(record))
-
-
-def _interior(record: ContractionRecord, red: ReducedPerturbation) -> list[InteriorEntry]:
     h = red.chart_polynomial()
     if record.w0.denominator > 1:
         shift = min(e[2] for e, _ in h.items())
@@ -168,7 +165,7 @@ def _interior(record: ContractionRecord, red: ReducedPerturbation) -> list[Inter
         if mult >= 2
     ]
     entries.sort(key=lambda entry: entry.l)
-    return entries
+    return tuple(entries)
 
 
 class OriginEntry(NamedTuple):
@@ -208,15 +205,8 @@ class OriginEntry(NamedTuple):
         }
 
 
-def origin_singularity(record: ContractionRecord) -> OriginEntry | None:
-    """Quotient germ at the chart origin; None when d = 1 or the origin is smooth."""
-    if record.w0.denominator == 1:
-        return None  # no quotient origin, and t*g is not read
-    return _origin(record, reduced_g_coefficients(record))
-
-
 def _origin(record: ContractionRecord, red: ReducedPerturbation) -> OriginEntry | None:
-    """Origin entry from the parsed perturbation; the caller ensures d > 1."""
+    """Quotient germ at the chart origin; None when it is smooth.  The caller ensures d > 1."""
     d = record.w0.denominator
     l_fib = red.l_fibre
     if l_fib == 0:
@@ -227,8 +217,7 @@ def _origin(record: ContractionRecord, red: ReducedPerturbation) -> OriginEntry 
     if gcd(b, d) != 1:
         raise InternalError(f"origin weight b={b} must be a unit mod {d}")
     k_prime, n_prime, a_prime = l_fib * red.e, d, b
-    r = k_prime * n_prime ** 2
-    q = (k_prime * n_prime * a_prime - 1) % r if r > 1 else 0
+    r, q = fibre_quotient(k_prime, n_prime, a_prime)
     l_show = red.l_series if red.l_series is not None else l_fib
     deformation = (
         f"xy + z^{l_show * germ.n} + t*g(z^{d}, t) = 0  in  (1/{d})(1,-1,{b},0)"
@@ -309,7 +298,7 @@ def census(record: ContractionRecord) -> SingularityCensus:
     """Full census of the family along E: interior A-points, origin germ, corners."""
     red = reduced_g_coefficients(record)
     return SingularityCensus(
-        interior=tuple(_interior(record, red)),
+        interior=_interior(record, red),
         origin=_origin(record, red) if record.w0.denominator > 1 else None,
         corners=corner_singularities(record),
     )

@@ -143,29 +143,6 @@ def is_admissible(germ: GermSpec, w0: WeightVector) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_admissible(germ: GermSpec, w0: WeightVector) -> None:
-    ok, reason = is_admissible(germ, w0)
-    if not ok:
-        raise NonAdmissibleWeight(reason)
-
-
-def _scaled_discrepancy(germ: GermSpec, w0: WeightVector) -> int:
-    """d times the discrepancy of an admissible weight; rejects nonpositive values."""
-    value = sum(w0.numerators) - scaled_valuation(w0, germ.equation)
-    if value <= 0:
-        raise DomainRejection(
-            f"discrepancy {ratio_to_str(value, w0.denominator)} is not positive; "
-            "the pair is not terminal"
-        )
-    return value
-
-
-def discrepancy(germ: GermSpec, w0: WeightVector) -> Fraction:
-    """Discrepancy of the exceptional divisor: sum of weights - w(f + t*g) - 1."""
-    _check_admissible(germ, w0)
-    return Fraction(_scaled_discrepancy(germ, w0), w0.denominator)
-
-
 class ContractionRecord(NamedTuple):
     """One weighted blowup of a germ, with its exceptional divisor data.
 
@@ -200,10 +177,13 @@ class ContractionRecord(NamedTuple):
 def build_contraction(germ: GermSpec, w0: WeightVector) -> ContractionRecord:
     """Assemble the contraction record for an admissible weight.
 
-    Rejects the pair when w(t*g) < w(f): the witnessing monomial is carried
+    Raises NonAdmissibleWeight for a weight `is_admissible` refuses, and
+    rejects the pair when w(t*g) < w(f): the witnessing monomial is carried
     on the raised SemistabilityViolation.
     """
-    _check_admissible(germ, w0)
+    ok, reason = is_admissible(germ, w0)
+    if not ok:
+        raise NonAdmissibleWeight(reason)
     d = w0.denominator
     lam_scaled = scaled_valuation(w0, germ.f)
     if germ.tg.is_zero:
@@ -219,11 +199,18 @@ def build_contraction(germ: GermSpec, w0: WeightVector) -> ContractionRecord:
                 witness=exp,
             )
         piece = scaled_graded_piece(w0, germ.g, lam_scaled - d)  # weight lam - 1
+    # d times the discrepancy sum(w0, 1) - w(f + t*g) - 1; the 1s cancel
+    discrepancy_scaled = sum(w0.numerators) - scaled_valuation(w0, germ.equation)
+    if discrepancy_scaled <= 0:
+        raise DomainRejection(
+            f"discrepancy {ratio_to_str(discrepancy_scaled, d)} is not positive; "
+            "the pair is not terminal"
+        )
     return ContractionRecord(
         germ=germ,
         w0=w0,
         lam=Fraction(lam_scaled, d),
-        discrepancy=Fraction(_scaled_discrepancy(germ, w0), d),
+        discrepancy=Fraction(discrepancy_scaled, d),
         ambient=(*w0.numerators, d),
         E_equation=germ.f + piece.times_t(),
         semistable_ok=True,

@@ -33,7 +33,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import GermRejection, InternalError
-from .lattices import QuotientLattice, mu_n_character
+from .lattices import QuotientLattice, fibre_quotient, mu_n_character
 from .polynomials import SparsePoly, is_mu_n_invariant, poly_from_json, poly_to_json
 
 CASES = ("T", "D", "E6", "E7", "E8", "N")
@@ -236,13 +236,7 @@ def fibre_singularity(germ: GermSpec):
         return "non-normal (xy = 0, two planes)"
     if germ.case == "T":
         kn = germ.k * germ.n
-        r = germ.k * germ.n ** 2
-        if r == 1:
-            q = 0
-        else:
-            q = (germ.k * germ.n * germ.a - 1) % r
-            if not (1 <= q < r and gcd(q, r) == 1):
-                raise InternalError(f"fibre quotient 1/{r}(1,{q}) is not normalized")
+        r, q = fibre_quotient(germ.k, germ.n, germ.a)
         dictionary = (("x", (kn, 0)), ("y", (0, kn)), ("z", (1, 1)))
         return FibreQuotientData(r=r, q=q, dictionary=dictionary)
     if germ.case == "D":

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import DomainRejection
+from .errors import DomainRejection, InternalError
 
 Vector = tuple[Fraction, ...]
 
@@ -41,10 +41,6 @@ def fraction_to_str(x: Fraction | int) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
     x = Fraction(x)
     return ratio_to_str(x.numerator, x.denominator)
-
-
-def fraction_from_str(s: str | int) -> Fraction:
-    return Fraction(s)
 
 
 def to_vector(entries, dim: int | None = None) -> Vector:
@@ -94,11 +90,6 @@ class QuotientLattice(_QuotientLatticeFields):
         if gcd(a, n) != 1:
             raise ValueError(f"gcd(a, n) must be 1, got a={a}, n={n}")
         return super().__new__(cls, dim, n, a)
-
-    @property
-    def generator(self) -> Vector:
-        g = (1, -1, self.a, 0)[: self.dim]
-        return tuple(Fraction(c, self.n) for c in g)
 
 
 def _scaled(v: Vector) -> tuple[tuple[int, ...], int]:
@@ -154,6 +145,21 @@ def is_primitive(lattice: QuotientLattice, v) -> bool:
     return _primitive(lattice.n, lattice.a, m, d)
 
 
+def fibre_quotient(k: int, n: int, a: int) -> tuple[int, int]:
+    """(r, q) of the case-T fibre quotient 1/(k*n^2)(1, k*n*a - 1), with 0 <= q < r.
+
+    q is 0 when r = 1.  Otherwise q = -1 mod k*n and every prime of r
+    divides k*n, so q is a unit mod r; anything else is a library bug.
+    """
+    r = k * n * n
+    if r <= 1:
+        return r, 0
+    q = (k * n * a - 1) % r
+    if not (1 <= q < r and gcd(q, r) == 1):
+        raise InternalError(f"fibre quotient 1/{r}(1,{q}) is not normalized")
+    return r, q
+
+
 def mu_n_character(lattice: QuotientLattice, exponents) -> int:
     """Character of the monomial with the given exponents under the 1/n(1,-1,a[,0]) action.
 
@@ -203,11 +209,6 @@ class WeightVector(_WeightVectorFields):
     @property
     def fractions(self) -> Vector:
         return tuple(Fraction(c, self.denominator) for c in self.numerators)
-
-    @property
-    def extended(self) -> Vector:
-        """The blowup weights on (x, y, z, t); t always carries weight 1."""
-        return self.fractions + (Fraction(1),)
 
     def __str__(self) -> str:
         body = "(" + ",".join(str(c) for c in self.numerators) + ")"

@@ -6,16 +6,16 @@ stored.  The weight (1/d)(a1, a2, a3) assigns (1/d)(a1*i + a2*j + a3*k) + l
 to the exponent (i, j, k, l); the fourth coordinate is the base-curve
 parameter t and always weighs 1.  Gradings are computed on the scaled
 weight d*(that) = a1*i + a2*j + a3*k + d*l, an integer, so valuation,
-homogeneity and the graded decomposition are integer min / group-by
-computations.  `monomial_weight`, `valuation` and the graded pieces hand out
-`Fraction(scaled, d)` only at their return.
+homogeneity and the graded piece are integer min / filter computations.
+`valuation` and `is_homogeneous` hand out `Fraction(scaled, d)` only at
+their return; `valuation_with_weights` computes in the number type of the
+weights it is given, so integer weights give an integer.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import gcd
-from typing import NamedTuple
 
 from .errors import ZeroPolynomialError
 from .lattices import QuotientLattice, WeightVector, fraction_to_str, mu_n_character
@@ -23,6 +23,8 @@ from .lattices import QuotientLattice, WeightVector, fraction_to_str, mu_n_chara
 VAR_NAMES = ("x", "y", "z", "t")
 
 Exponent = tuple[int, ...]
+
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")  # "p" or "p/q"; ASCII digits only
 
 
 class SparsePoly:
@@ -53,6 +55,15 @@ class SparsePoly:
             raise ValueError("polynomials live in 3 or 4 variables")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_terms", data)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SparsePoly is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SparsePoly is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
+        return SparsePoly, (self._terms, self.dim)
 
     @classmethod
     def zero(cls, dim: int = 4) -> "SparsePoly":
@@ -122,14 +133,6 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, m: int) -> "SparsePoly":
-        if m < 0:
-            raise ValueError("negative power")
-        out = SparsePoly.monomial((0,) * self.dim, 1)
-        for _ in range(m):
-            out = out * self
-        return out
-
     def times_t(self) -> "SparsePoly":
         """Multiply by t (dimension-4 polynomials only)."""
         if self.dim != 4:
@@ -185,8 +188,9 @@ def poly_to_json(p: SparsePoly) -> list[dict]:
 def poly_from_json(data, dim: int = 4) -> SparsePoly:
     """Read a list of {"coeff", "exp"} monomials, strictly.
 
-    Exponents must be integers and coefficients rational strings; any other
-    shape or key, or a zero denominator, raises TypeError or ValueError.
+    Exponents must be integers and coefficients strings of the form "p" or
+    "p/q" (an optional minus sign, ASCII digits); any other shape, key or
+    string, or a zero denominator, raises TypeError or ValueError.
     """
     if not isinstance(data, list):
         raise TypeError(f"expected a list of monomials, got {data!r}")
@@ -203,6 +207,8 @@ def poly_from_json(data, dim: int = 4) -> SparsePoly:
         coeff = entry["coeff"]
         if not isinstance(coeff, str):
             raise TypeError(f"coefficient must be a rational string, got {coeff!r}")
+        if not _RATIONAL.fullmatch(coeff):
+            raise ValueError(f"coefficient {coeff!r} is not of the form p or p/q")
         try:
             value = Fraction(coeff)
         except ZeroDivisionError:
@@ -215,13 +221,6 @@ def poly_from_json(data, dim: int = 4) -> SparsePoly:
 # weighted gradings
 
 
-def weighted_exponent_value(weights, exp) -> Fraction:
-    """Weight of a monomial for an arbitrary per-variable weight tuple."""
-    if len(weights) != len(exp):
-        raise ValueError("weights / exponent dimension mismatch")
-    return sum((Fraction(w) * e for w, e in zip(weights, exp)), Fraction(0))
-
-
 def scaled_monomial_weight(w: WeightVector, exp) -> int:
     """d times the weight of the monomial: a1*i + a2*j + a3*k [+ d*l]."""
     a1, a2, a3 = w.numerators
@@ -230,11 +229,6 @@ def scaled_monomial_weight(w: WeightVector, exp) -> int:
     if len(exp) == 3:
         return a1 * exp[0] + a2 * exp[1] + a3 * exp[2]
     raise ValueError("exponent must have 3 or 4 entries")
-
-
-def monomial_weight(w: WeightVector, exp) -> Fraction:
-    """(1/d)(a1*i + a2*j + a3*k) + l;  the t-exponent, when present, weighs 1."""
-    return Fraction(scaled_monomial_weight(w, tuple(exp)), w.denominator)
 
 
 def scaled_valuation(w: WeightVector, h: SparsePoly) -> int:
@@ -249,10 +243,17 @@ def valuation(w: WeightVector, h: SparsePoly) -> Fraction:
     return Fraction(scaled_valuation(w, h), w.denominator)
 
 
-def valuation_with_weights(weights, h: SparsePoly) -> Fraction:
+def valuation_with_weights(weights, h: SparsePoly) -> int | Fraction:
+    """Least sum(w_i * e_i) over the monomials of h, one weight per variable.
+
+    Exact in the weights as given: integer weights give an int, `Fraction`s
+    a `Fraction`.  The number of weights must equal the dimension of h.
+    """
+    if len(weights) != h.dim:
+        raise ValueError(f"expected {h.dim} weights, got {len(weights)}")
     if h.is_zero:
         raise ZeroPolynomialError("the zero polynomial has infinite valuation")
-    return min(weighted_exponent_value(weights, e) for e, _ in h.items())
+    return min(sum(w * e for w, e in zip(weights, exp)) for exp in h._terms)
 
 
 def min_weight_monomial(w: WeightVector, h: SparsePoly) -> tuple[Exponent, Fraction]:
@@ -275,24 +276,6 @@ def is_homogeneous(w: WeightVector, h: SparsePoly) -> tuple[bool, Fraction | Non
     return False, None
 
 
-class GradedPiece(NamedTuple):
-    weight: Fraction
-    part: SparsePoly
-
-
-def graded_decomposition(w: WeightVector, h: SparsePoly) -> list[GradedPiece]:
-    """Split h into graded pieces of strictly increasing weight; they sum back to h."""
-    if h.is_zero:
-        raise ZeroPolynomialError("the zero polynomial has no graded pieces")
-    buckets: dict[int, dict] = {}
-    for e, c in h.items():
-        buckets.setdefault(scaled_monomial_weight(w, e), {})[e] = c
-    return [
-        GradedPiece(Fraction(val, w.denominator), SparsePoly(terms, dim=h.dim))
-        for val, terms in sorted(buckets.items())
-    ]
-
-
 def scaled_graded_piece(w: WeightVector, h: SparsePoly, scaled_value: int) -> SparsePoly:
     """The graded piece of h of scaled weight scaled_value (possibly zero)."""
     terms = {
@@ -300,14 +283,6 @@ def scaled_graded_piece(w: WeightVector, h: SparsePoly, scaled_value: int) -> Sp
         if scaled_monomial_weight(w, e) == scaled_value
     }
     return SparsePoly(terms, dim=h.dim)
-
-
-def graded_piece(w: WeightVector, h: SparsePoly, value: Fraction) -> SparsePoly:
-    """The single graded piece of h with the given weight (possibly zero)."""
-    scaled = Fraction(value) * w.denominator
-    if scaled.denominator != 1:
-        return SparsePoly.zero(h.dim)  # no monomial weight lies off (1/d)Z
-    return scaled_graded_piece(w, h, scaled.numerator)
 
 
 def is_mu_n_invariant(lattice: QuotientLattice, h: SparsePoly) -> bool:

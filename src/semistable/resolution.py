@@ -30,6 +30,7 @@ from .errors import InternalError
 from .lattices import (
     QuotientLattice,
     WeightVector,
+    fibre_quotient,
     fraction_to_str,
     is_primitive,
     lattice_contains,
@@ -85,30 +86,6 @@ class DualGraph(NamedTuple):
         )
         es = tuple((i, i + 1) for i in range(len(vs) - 1))
         return cls(vertices=vs, edges=es)
-
-    def degrees(self) -> list[int]:
-        out = [0] * len(self.vertices)
-        for i, j in self.edges:
-            out[i] += 1
-            out[j] += 1
-        return out
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {0}
-        frontier = [0]
-        adjacency = {i: [] for i in range(len(self.vertices))}
-        for i, j in self.edges:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        while frontier:
-            v = frontier.pop()
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(self.vertices)
 
     def to_json(self) -> dict:
         return {
@@ -286,9 +263,7 @@ def toric_subdivide(cone: SurfaceCone, ray) -> tuple[SurfaceCone, SurfaceCone, F
 
 def fibre_cone(k: int, n: int, a: int) -> SurfaceCone:
     """The quadrant cone of the fibre quotient 1/(k*n^2)(1, k*n*a - 1)."""
-    r = k * n * n
-    q = (k * n * a - 1) % r if r > 1 else 0
-    return SurfaceCone(r, q)
+    return SurfaceCone(*fibre_quotient(k, n, a))
 
 
 def weight_to_ray(k: int, n: int, w0: WeightVector) -> Vector2:

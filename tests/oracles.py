@@ -3,13 +3,18 @@
 Membership scans every residue j instead of solving the congruence chain;
 primitivity tries a fixed prime list instead of factoring the content; the
 weight enumeration below rechecks every filter on its own; valuations sum
-Fraction weights monomial by monomial; the isolatedness oracle asks sympy's
-Groebner basis.  Slow and dumb on purpose.
+Fraction weights monomial by monomial; the census oracle asks sympy's
+squarefree factorization and the isolatedness oracle sympy's Groebner basis.
+Slow and dumb on purpose.  `reduced_T_records` draws the random records the
+census and cover properties run on.
 """
 
 from fractions import Fraction
 from math import floor, gcd
 
+from hypothesis import strategies as st
+
+import semistable as ss
 from semistable.germs import _PROBE_MAX_DEGREE, _PROBE_MAX_TERMS
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
@@ -78,6 +83,59 @@ def oracle_valuation(weights, exponents):
     """Least weight sum(w_i * e_i) over the exponents, with t weighing 1 in slot 4."""
     full = [Fraction(w) for w in weights] + [Fraction(1)]
     return min(sum((w * e for w, e in zip(full, exp)), Fraction(0)) for exp in exponents)
+
+
+def oracle_interior(record):
+    """(l, count) of the census's interior entries, from sympy's sqf_list.
+
+    h(z) = z^(k*n) + the t-order-minimal coefficients of t*g, read from the
+    germ; for d > 1 the power of z dividing h is stripped (that root belongs
+    to the origin entry).  Each multiplicity l >= 2 gives one entry whose
+    count is the degree of its squarefree factor.
+    """
+    import sympy
+
+    germ, (_, _, a3), d = record.germ, record.w0.numerators, record.w0.denominator
+    k, n, e = germ.k, germ.n, germ.n // d
+    z = sympy.Symbol("z")
+    h = z ** (k * n)
+    for (_, _, kz, l), coeff in germ.tg.items():
+        if l == (k - kz // n) * e * a3:
+            h += sympy.Rational(coeff.numerator, coeff.denominator) * z ** kz
+    h = sympy.Poly(h, z)
+    if d > 1:
+        h = h.exquo(sympy.Poly(z ** min(m for (m,) in h.monoms()), z))
+    _, factors = sympy.sqf_list(h)
+    return [(mult, factor.degree()) for factor, mult in factors if mult >= 2]
+
+
+@st.composite
+def reduced_T_records(draw, max_n=6, max_k=3):
+    """A valid case-T record whose t*g has the census's reduced shape.
+
+    t*g = sum_i c_i z^(i*n) t^((k-i)*e*a3) for P(u) = u^k + sum_i c_i u^i =
+    prod (u - r_j) over k drawn roots, repeated roots and u = 0 included,
+    so h(z) = P(z^n) often has multiple roots; sometimes plus a
+    higher-order tail t^(k*e*a3 + 1).
+    """
+    n = draw(st.integers(1, max_n))
+    a = draw(st.sampled_from([a for a in range(n) if gcd(a, n) == 1]))
+    k = draw(st.integers(1, max_k))
+    w = draw(st.sampled_from(ss.admissible_weights_T(n, a, k, 3)))
+    root = st.sampled_from([0, 1, -1, 2, Fraction(-1, 2)])
+    roots = draw(st.lists(root, min_size=k, max_size=k))
+    P = [Fraction(1)]  # ascending coefficients of prod (u - r)
+    for r in roots:
+        P = [prev - r * c for prev, c in zip([Fraction(0)] + P, P + [Fraction(0)])]
+    e, a3 = n // w.denominator, w.numerators[2]
+    g = [
+        {"coeff": ss.fraction_to_str(P[i]), "exp": [0, 0, i * n, (k - i) * e * a3 - 1]}
+        for i in range(k) if P[i]
+    ]
+    if draw(st.booleans()):
+        g.append({"coeff": "1", "exp": [0, 0, 0, k * e * a3]})
+    germ = ss.validate_germ({"n": n, "a": a, "case": "T", "k": k, "g": g})
+    return ss.build_contraction(germ, w)
 
 
 def oracle_isolatedness(germ, t_order=None):

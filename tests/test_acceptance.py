@@ -99,7 +99,7 @@ def test_criterion_2_discrepancy_cross_validation():
     for case, m in DE_CASES:
         lam = DE_LAMBDA.get(case, 2 * m - 2 if m else None)
         germ = _germ_DE(case, m, lam)
-        assert ss.discrepancy(germ, ss.fixed_weights_DE(case, m)) == 1
+        assert ss.build_contraction(germ, ss.fixed_weights_DE(case, m)).discrepancy == 1
     record = ss.build_contraction(_quadric_germ(), WeightVector((1, 5, 3), 2))
     assert record.discrepancy == Fraction(3, 2)
     data = ss.cover_data(record)

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import semistable as ss
 from semistable import WeightVector
+from oracles import oracle_interior, reduced_T_records
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def record_T(n, a, k, w, g_terms=None):
@@ -69,22 +73,22 @@ def test_reduced_tracks_series_tails():
 
 
 def test_interior_census_cubic():
-    entries = ss.interior_census(CUBIC)
+    entries = ss.census(CUBIC).interior
     assert [(e.l, e.count, e.type_label) for e in entries] == [(2, 1, "A1")]
 
 
 def test_interior_census_degenerate_double_root():
     # k = 2, t*g = t^3: c_0 = 0, h = z^2, one A1 at the chart coordinate 0
     record = record_T(1, 0, 2, ((1, 1, 1),), [{"coeff": "1", "exp": [0, 0, 0, 2]}])
-    entries = ss.interior_census(record)
+    entries = ss.census(record).interior
     assert [(e.l, e.count) for e in entries] == [(2, 1)]
 
 
 def test_interior_census_squarefree_chart():
     # h = z^3 + 1 has three simple roots
     record = record_T(1, 0, 3, ((2, 1, 1),), [{"coeff": "1", "exp": [0, 0, 0, 2]}])
-    assert ss.interior_census(record) == []
-    assert ss.interior_census(QUARTIC) == []
+    assert ss.census(record).interior == ()
+    assert ss.census(QUARTIC).interior == ()
 
 
 def test_interior_census_conjugate_points_grouped():
@@ -93,22 +97,29 @@ def test_interior_census_conjugate_points_grouped():
         1, 0, 4, ((1, 3, 1),),
         [{"coeff": "-2", "exp": [0, 0, 2, 1]}, {"coeff": "1", "exp": [0, 0, 0, 3]}],
     )
-    entries = ss.interior_census(record)
+    entries = ss.census(record).interior
     assert [(e.l, e.count) for e in entries] == [(2, 2)]
 
 
+@PROPERTY
+@given(reduced_T_records())
+def test_interior_multiplicities_match_sympy(record):
+    interior = ss.census(record).interior
+    assert [(entry.l, entry.count) for entry in interior] == sorted(oracle_interior(record))
+
+
 def test_origin_entry_absent_for_index_one():
-    assert ss.origin_singularity(CUBIC) is None
+    assert ss.census(CUBIC).origin is None
 
 
 def test_origin_entry_absent_when_constant_term_survives():
-    assert ss.origin_singularity(QUARTIC) is None
+    assert ss.census(QUARTIC).origin is None
 
 
 def test_origin_entry_quartic_with_z_column():
     # t*g = z^2 t: l = 1 survives, origin is (xy + z^2 = 0) in (1/2)(1,-1,1)
     record = record_T(2, 1, 2, ((1, 3, 1), 2), [{"coeff": "1", "exp": [0, 0, 2, 0]}])
-    entry = ss.origin_singularity(record)
+    entry = ss.census(record).origin
     assert entry is not None
     assert entry.index == 2 and entry.b == 1
     assert entry.z_power == 2
@@ -120,7 +131,7 @@ def test_origin_entry_quartic_with_z_column():
 def test_origin_divergence_flag():
     # b_0 = t only: l_series = 0 but c_0 = 0, so the fibre reading jumps to k
     record = record_T(2, 1, 2, ((1, 3, 1), 2), [{"coeff": "1", "exp": [0, 0, 0, 2]}])
-    entry = ss.origin_singularity(record)
+    entry = ss.census(record).origin
     assert entry is not None
     assert entry.l_series == 0 and entry.l_fibre == 2
     assert entry.divergent
@@ -173,7 +184,7 @@ def test_census_counts_are_consistent_with_squarefree_oracle():
     red = ss.reduced_g_coefficients(CUBIC)
     h = red.chart_polynomial()
     multiple_classes = [m for m in ss.squarefree_multiplicities(h) if m[1] >= 2]
-    entries = ss.interior_census(CUBIC)
+    entries = ss.census(CUBIC).interior
     assert len(entries) == len(multiple_classes)
     degree = max(e[2] for e, _ in h.items())
     assert sum(entry.count for entry in entries) <= degree

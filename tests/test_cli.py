@@ -98,6 +98,10 @@ def test_germ_outside_the_json_contract_is_a_rejection(germ_file, capsys):
     germ = {**QUADRIC, "g": [{"coeff": "1/0", "exp": [0, 0, 0, 2]}]}
     assert main(["classify", germ_file(germ)]) == 2
     assert "zero denominator" in capsys.readouterr().err
+    for text in ("0.5", "1e3", " 1/2 ", "1_000", "+1", "\u0661"):
+        germ = {**QUADRIC, "g": [{"coeff": text, "exp": [0, 0, 0, 2]}]}
+        assert main(["classify", germ_file(germ)]) == 2
+        assert f"{text!r} is not of the form p or p/q" in capsys.readouterr().err
 
 
 def test_negative_trunc_order_is_parse_failure(germ_file, capsys):

@@ -75,23 +75,27 @@ def test_fixed_weights_table():
         ss.fixed_weights_DE("A")
 
 
+def discrepancy(germ, w0):
+    return ss.build_contraction(germ, w0).discrepancy
+
+
 def test_discrepancy_examples():
-    assert ss.discrepancy(QUADRIC, WeightVector((1, 5, 3), 2)) == Fraction(3, 2)
+    assert discrepancy(QUADRIC, WeightVector((1, 5, 3), 2)) == Fraction(3, 2)
 
     e8 = germ_DE("E8", g_terms=[{"coeff": "1", "exp": [0, 0, 0, 29]}])
-    assert ss.discrepancy(e8, WeightVector((15, 10, 6))) == 1
+    assert discrepancy(e8, WeightVector((15, 10, 6))) == 1
 
     quartic = germ_T(2, 1, 2, [{"coeff": "1", "exp": [0, 0, 0, 1]}])
-    assert ss.discrepancy(quartic, WeightVector((1, 3, 1), 2)) == Fraction(1, 2)
+    assert discrepancy(quartic, WeightVector((1, 3, 1), 2)) == Fraction(1, 2)
 
 
 def test_discrepancy_rejects_inadmissible_weights():
     with pytest.raises(ss.NonAdmissibleWeight):
-        ss.discrepancy(QUADRIC, WeightVector((1, 2, 1), 2))  # not in the lattice
+        discrepancy(QUADRIC, WeightVector((1, 2, 1), 2))  # not in the lattice
     with pytest.raises(ss.NonAdmissibleWeight):
-        ss.discrepancy(QUADRIC, WeightVector((1, 1, 3), 2))  # not homogeneous
+        discrepancy(QUADRIC, WeightVector((1, 1, 3), 2))  # not homogeneous
     with pytest.raises(ss.NonAdmissibleWeight):
-        ss.discrepancy(germ_DE("E6"), WeightVector((6, 4, 3), 2))
+        discrepancy(germ_DE("E6"), WeightVector((6, 4, 3), 2))
 
 
 def test_build_contraction_cubic_example():

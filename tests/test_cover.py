@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import semistable as ss
 from semistable import WeightVector
+from oracles import reduced_T_records
 
 
 def germ_T(n, a, k, g_terms=None):
@@ -72,6 +74,14 @@ def test_cover_sweep_over_enumerations():
                 assert data.covered_discrepancy == record.discrepancy * data.d + data.d - 1
                 assert data.covered_discrepancy >= 1
                 assert ss.verify_cover(record)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(reduced_T_records())
+def test_cover_holds_on_random_records(record):
+    data = ss.cover_data(record)
+    assert data.covered_discrepancy == record.discrepancy * data.d + data.d - 1
+    assert ss.verify_cover(record, data)
 
 
 def test_inconsistent_record_raises_internal_error():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import semistable as ss
@@ -177,6 +179,11 @@ def test_validate_rejects_instead_of_coercing(raw):
         ss.validate_germ(raw)
 
 
+# Fraction() accepts all of these; the JSON contract allows only "p" and "p/q"
+# with ASCII digits ("\u0661" is ARABIC-INDIC DIGIT ONE, which \d matches).
+NOT_RATIONAL_STRINGS = ["0.5", "1e3", " 1/2 ", "1_000", "+1", "1/-2", "", "\u0661", "1/\u0662"]
+
+
 @pytest.mark.parametrize(
     "raw, message",
     [
@@ -184,8 +191,16 @@ def test_validate_rejects_instead_of_coercing(raw):
         (raw_T(2, 1, 1, rho_on=True), "unknown germ key 'rho_on'"),
         ({**raw_T(2, 1, 1), "g": {}}, "expected a list of monomials"),
         (raw_T(2, 1, 1, [{"coeff": "1", "exp": [0, 0, 0, 2], "exq": 1}]), "unknown monomial key 'exq'"),
+        *(
+            (
+                raw_T(2, 1, 1, [{"coeff": text, "exp": [0, 0, 0, 2]}]),
+                re.escape(f"{text!r} is not of the form p or p/q"),
+            )
+            for text in NOT_RATIONAL_STRINGS
+        ),
     ],
-    ids=["zero-denominator", "misspelt-key", "g-object", "monomial-key"],
+    ids=["zero-denominator", "misspelt-key", "g-object", "monomial-key",
+         *(f"coeff-{text!r}" for text in NOT_RATIONAL_STRINGS)],
 )
 def test_validate_rejects_outside_the_json_contract(raw, message):
     with pytest.raises(ss.GermRejection, match=message):

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import semistable as ss
@@ -98,8 +99,33 @@ def test_valuation_matches_naive_sum(w, exponents):
     h = SparsePoly({exp: 1 for exp in exponents}, dim=4)
     assert ss.valuation(w, h) == oracle_valuation(w.fractions, exponents)
     for exp in exponents:
-        assert ss.monomial_weight(w, exp) == oracle_valuation(w.fractions, [exp])
-        assert ss.monomial_weight(w, exp[:3]) == oracle_valuation(w.fractions, [exp[:3]])
+        for slots in (exp, exp[:3]):
+            monomial = SparsePoly.monomial(slots)
+            assert ss.valuation(w, monomial) == oracle_valuation(w.fractions, [slots])
+
+
+@PROPERTY
+@given(
+    st.tuples(*[st.integers(1, 12)] * 3),
+    st.integers(1, 6),
+    st.lists(st.tuples(*[st.integers(0, 5)] * 4), min_size=1, max_size=6),
+)
+def test_valuation_with_integer_weights_matches_oracle(numerators, c, exponents):
+    # lifted weights c*(w0, 1) as on the index-one cover, w0 = numerators/c
+    h = SparsePoly({exp: 1 for exp in exponents}, dim=4)
+    value = ss.valuation_with_weights((*numerators, c), h)
+    assert type(value) is int
+    assert value == c * oracle_valuation([Fraction(m, c) for m in numerators], exponents)
+
+
+@PROPERTY
+@given(st.sampled_from([3, 4]), st.lists(st.integers(1, 9), max_size=6))
+def test_valuation_with_weights_rejects_mismatched_lengths(dim, weights):
+    if len(weights) == dim:
+        weights.append(1)
+    h = SparsePoly.monomial((1,) * dim)
+    with pytest.raises(ValueError, match=f"expected {dim} weights"):
+        ss.valuation_with_weights(weights, h)
 
 
 def test_scan_runtime_budget():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 
 import semistable as ss
 from semistable import SparsePoly
+from semistable.polynomials import scaled_graded_piece
 
 W = ss.WeightVector
 
@@ -14,13 +17,17 @@ def zpoly(*coeffs):
     return SparsePoly({(0, 0, e, 0): c for e, c in coeffs})
 
 
+def monomial_weight(w, exp):
+    return ss.valuation(w, SparsePoly.monomial(exp))
+
+
 def test_monomial_weight_examples():
     w = W((1, 5, 3), 2)
-    assert ss.monomial_weight(w, (1, 1, 0, 0)) == 3  # xy
-    assert ss.monomial_weight(w, (0, 0, 2, 0)) == 3  # z^2
-    assert ss.monomial_weight(w, (0, 0, 0, 0)) == 0
-    assert ss.monomial_weight(W((1, 1, 1)), (0, 0, 0, 7)) == 7  # t^7
-    assert ss.monomial_weight(w, (0, 0, 1)) == Fraction(3, 2)  # 3-variable exponent
+    assert monomial_weight(w, (1, 1, 0, 0)) == 3  # xy
+    assert monomial_weight(w, (0, 0, 2, 0)) == 3  # z^2
+    assert monomial_weight(w, (0, 0, 0, 0)) == 0
+    assert monomial_weight(W((1, 1, 1)), (0, 0, 0, 7)) == 7  # t^7
+    assert monomial_weight(w, (0, 0, 1)) == Fraction(3, 2)  # 3-variable exponent
 
 
 def test_valuation_examples():
@@ -40,18 +47,25 @@ def test_homogeneity_examples():
     assert ss.is_homogeneous(W((1, 1, 1)), mixed) == (False, None)
 
 
+def graded_pieces(w, h):
+    """(weight, piece) for each weight of a monomial of h, ascending."""
+    scaled = sorted({int(w.denominator * monomial_weight(w, e)) for e, _ in h.items()})
+    return [(Fraction(s, w.denominator), scaled_graded_piece(w, h, s)) for s in scaled]
+
+
 def test_graded_decomposition_examples():
     h = SparsePoly({(1, 1, 0, 0): 1, (0, 0, 3, 0): 1})
-    pieces = ss.graded_decomposition(W((1, 1, 1)), h)
-    assert [(p.weight, len(p.part)) for p in pieces] == [(2, 1), (3, 1)]
+    pieces = graded_pieces(W((1, 1, 1)), h)
+    assert [(weight, len(part)) for weight, part in pieces] == [(2, 1), (3, 1)]
 
     h = SparsePoly({(1, 1, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 3): 1})
-    pieces = ss.graded_decomposition(W((1, 5, 3), 2), h)
-    assert len(pieces) == 1 and pieces[0].weight == 3 and pieces[0].part == h
+    pieces = graded_pieces(W((1, 5, 3), 2), h)
+    assert pieces == [(3, h)]
 
     h = SparsePoly({(1, 1, 0, 0): 1, (0, 0, 3, 0): 1, (0, 0, 1, 2): 1, (0, 0, 0, 3): 1})
-    pieces = ss.graded_decomposition(W((2, 1, 1)), h)
-    assert len(pieces) == 1 and pieces[0].weight == 3
+    assert [weight for weight, _ in graded_pieces(W((2, 1, 1)), h)] == [3]
+    # a weight no monomial has gives the zero piece
+    assert scaled_graded_piece(W((1, 5, 3), 2), h, 5).is_zero
 
 
 def _random_sparse(rng, dim=4, terms=4, positive=False):
@@ -88,16 +102,14 @@ def test_graded_pieces_sum_to_whole():
         h = _random_sparse(rng, terms=6)
         if h.is_zero:
             continue
-        pieces = ss.graded_decomposition(w, h)
+        pieces = graded_pieces(w, h)
         total = SparsePoly.zero(4)
-        for piece in pieces:
-            ok, value = ss.is_homogeneous(w, piece.part)
-            assert ok and value == piece.weight
-            total = total + piece.part
+        for weight, part in pieces:
+            ok, value = ss.is_homogeneous(w, part)
+            assert ok and value == weight
+            total = total + part
         assert total == h
-        assert ss.valuation(w, h) == pieces[0].weight
-        weights = [p.weight for p in pieces]
-        assert weights == sorted(weights)
+        assert ss.valuation(w, h) == pieces[0][0]
 
 
 def test_mu_invariance_examples():
@@ -131,7 +143,8 @@ def test_squarefree_against_constructed_products():
         for root in roots:
             mult = rng.randrange(1, 5)
             factor = z + zpoly((0, -root))
-            h = h * factor ** mult
+            for _ in range(mult):
+                h = h * factor
             expected[mult] = expected.get(mult, 0) + 1
         got = ss.squarefree_multiplicities(h)
         assert got == [(expected[mult], mult) for mult in sorted(expected)]
@@ -141,7 +154,7 @@ def test_squarefree_against_constructed_products():
 
 def test_squarefree_degree_bookkeeping_with_conjugate_roots():
     # (z^2 + 1)^2 * (z - 1): conjugate double pair plus a simple rational root
-    h = zpoly((2, 1), (0, 1)) ** 2 * zpoly((1, 1), (0, -1))
+    h = zpoly((2, 1), (0, 1)) * zpoly((2, 1), (0, 1)) * zpoly((1, 1), (0, -1))
     assert ss.squarefree_multiplicities(h) == [(1, 1), (2, 2)]
 
 
@@ -171,3 +184,19 @@ def test_times_t_shifts_exponent():
 def test_valuation_with_explicit_weights():
     h = SparsePoly({(1, 1, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 3): 1})
     assert ss.valuation_with_weights((1, 5, 3, 2), h) == 6
+    assert type(ss.valuation_with_weights((1, 5, 3, 2), h)) is int
+    half = Fraction(1, 2)
+    assert ss.valuation_with_weights((half, 5 * half, 3 * half, 1), h) == 3
+
+
+def test_sparse_poly_is_immutable():
+    h = SparsePoly({(1, 1, 0, 0): 1, (0, 0, 2, 0): 1})
+    for name, value in (("dim", 3), ("_terms", {}), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(h, name, value)
+    for name in ("dim", "_terms"):
+        with pytest.raises(AttributeError):
+            delattr(h, name)
+    assert h.dim == 4 and h == SparsePoly({(1, 1, 0, 0): 1, (0, 0, 2, 0): 1})
+    for again in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+        assert again == h and hash(again) == hash(h)
