@@ -44,7 +44,7 @@ from typing import NamedTuple
 from .contractions import ContractionRecord
 from .errors import DomainRejection, InternalError, UnsupportedForm
 from .lattices import fibre_quotient
-from .polynomials import SparsePoly, squarefree_multiplicities
+from .polynomials import squarefree_multiplicities
 
 
 class ReducedPerturbation(NamedTuple):
@@ -64,12 +64,12 @@ class ReducedPerturbation(NamedTuple):
         """Least i with c_i != 0; k when every c_i vanishes (h = z^(k*n))."""
         return self.c[0][0] if self.c else self.k
 
-    def chart_polynomial(self) -> SparsePoly:
-        """h(z') = z'^(k*n) + sum c_i z'^(i*n), as a univariate polynomial in z."""
-        terms = {(0, 0, self.k * self.n, 0): Fraction(1)}
+    def chart_polynomial(self) -> list[Fraction]:
+        """Coefficients of h(z') = z'^(k*n) + sum c_i z'^(i*n), constant term first."""
+        h = [Fraction(0)] * (self.k * self.n) + [Fraction(1)]
         for i, value in self.c:
-            terms[(0, 0, i * self.n, 0)] = value
-        return SparsePoly(terms, dim=4)
+            h[i * self.n] = value
+        return h
 
 
 def reduced_g_coefficients(record: ContractionRecord) -> ReducedPerturbation:
@@ -155,10 +155,7 @@ def _interior(record: ContractionRecord, red: ReducedPerturbation) -> tuple[Inte
     """
     h = red.chart_polynomial()
     if record.w0.denominator > 1:
-        shift = min(e[2] for e, _ in h.items())
-        h = SparsePoly(
-            {(0, 0, kz - shift, 0): cf for (_, _, kz, _), cf in h.items()}, dim=4
-        )
+        h = h[red.l_fibre * red.n:]  # z'^(l_fibre*n) is the least power of z' in h
     entries = [
         InteriorEntry(l=mult, count=degree)
         for degree, mult in squarefree_multiplicities(h)

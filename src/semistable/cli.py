@@ -96,8 +96,6 @@ def cmd_classify(args) -> int:
     from .germs import FibreQuotientData, fibre_singularity, isolatedness_probe
     from .resolution import duval_graph, resolve_cyclic
 
-    if args.trunc_order is not None and args.trunc_order < 0:
-        raise CliParseError(f"--trunc-order must be nonnegative, got {args.trunc_order}")
     germ = _load_germ(args.spec)
     fibre = fibre_singularity(germ)
     iso = (
@@ -146,7 +144,7 @@ def cmd_enumerate(args) -> int:
     from .contractions import enumerate_contractions
 
     germ = _load_germ(args.spec)
-    if germ.case == "T" and (args.bound is None or args.bound < 0):
+    if germ.case == "T" and args.bound is None:
         raise CliParseError("case-T enumeration needs a nonnegative --bound")
     records, rejected = enumerate_contractions(germ, args.bound)
 
@@ -263,6 +261,9 @@ def cmd_cover(args) -> int:
 
 
 def build_parser() -> Parser:
+    # integer arguments are read strictly (ASCII digits); anything else exits 3
+    from .lattices import integer, natural
+
     parser = Parser(
         prog="semistable",
         description="Exact computations with semistable 3-fold smoothing germs.",
@@ -284,20 +285,20 @@ def build_parser() -> Parser:
     p = add("classify", cmd_classify, "validate a germ and report its fibre singularity")
     p.add_argument("--probe", action="store_true", help="run the isolatedness probe")
     p.add_argument(
-        "--trunc-order", type=int, default=None,
+        "--trunc-order", type=natural, default=None,
         help="truncate t*g at this t-order before probing",
     )
 
     p = add("enumerate", cmd_enumerate, "list all contraction records within a bound")
-    p.add_argument("--bound", type=int, default=None, help="cap on max(a_i)/d")
+    p.add_argument("--bound", type=natural, default=None, help="cap on max(a_i)/d")
 
     add("blowup", cmd_blowup, "build one contraction record", weights=True)
     add("census", cmd_census, "singularity census along E", weights=True)
     add("cover", cmd_cover, "index-one cover data for a record", weights=True)
 
     p = sub.add_parser("resolve", help="Hirzebruch-Jung string of 1/r(1,q)")
-    p.add_argument("r", type=int)
-    p.add_argument("q", type=int)
+    p.add_argument("r", type=integer)
+    p.add_argument("q", type=integer)
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=cmd_resolve)
 

@@ -73,7 +73,7 @@ def admissible_weights_T(n: int, a: int, k: int, bound) -> list[WeightVector]:
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    lattice = QuotientLattice(3, n, a)
+    lattice = QuotientLattice(n, a)
     found = []
     for d in divisors(n):
         e = n // d
@@ -187,7 +187,7 @@ def build_contraction(germ: GermSpec, w0: WeightVector) -> ContractionRecord:
     d = w0.denominator
     lam_scaled = scaled_valuation(w0, germ.f)
     if germ.tg.is_zero:
-        piece = SparsePoly.zero(4)
+        piece = SparsePoly()
     else:
         tg_scaled = scaled_valuation(w0, germ.tg)
         if tg_scaled < lam_scaled:

@@ -48,13 +48,13 @@ _E_FORMS = {
 def normal_form(case: str, n: int = 1, k: int | None = None, m: int | None = None) -> SparsePoly:
     """The fibre equation f for the given case, as a 4-variable polynomial."""
     if case == "T":
-        return SparsePoly({(1, 1, 0, 0): 1, (0, 0, k * n, 0): 1}, dim=4)
+        return SparsePoly({(1, 1, 0, 0): 1, (0, 0, k * n, 0): 1})
     if case == "N":
-        return SparsePoly({(1, 1, 0, 0): 1}, dim=4)
+        return SparsePoly({(1, 1, 0, 0): 1})
     if case == "D":
-        return SparsePoly({(2, 0, 0, 0): 1, (0, 2, 1, 0): 1, (0, 0, m - 1, 0): 1}, dim=4)
+        return SparsePoly({(2, 0, 0, 0): 1, (0, 2, 1, 0): 1, (0, 0, m - 1, 0): 1})
     if case in _E_FORMS:
-        return SparsePoly(_E_FORMS[case], dim=4)
+        return SparsePoly(_E_FORMS[case])
     raise ValueError(f"unknown case {case!r}")
 
 
@@ -82,9 +82,7 @@ class GermSpec(_GermFields):
 
     @cached_property
     def g(self) -> SparsePoly:
-        return SparsePoly(
-            {(i, j, kz, l - 1): c for (i, j, kz, l), c in self.tg.items()}, dim=4
-        )
+        return SparsePoly({(i, j, kz, l - 1): c for (i, j, kz, l), c in self.tg.items()})
 
     @cached_property
     def equation(self) -> SparsePoly:
@@ -93,11 +91,7 @@ class GermSpec(_GermFields):
 
     @property
     def weight_lattice(self) -> QuotientLattice:
-        return QuotientLattice(3, self.n, self.a)
-
-    @property
-    def character_lattice(self) -> QuotientLattice:
-        return QuotientLattice(4, self.n, self.a)
+        return QuotientLattice(self.n, self.a)
 
     def to_json(self) -> dict:
         out = {
@@ -144,7 +138,7 @@ def _parse_raw(raw) -> GermSpec:
         raise GermRejection(f"sign must be '+' or '-', got {sign!r}")
     g_data = raw.get("g", [])
     try:
-        g = poly_from_json(g_data, dim=4)
+        g = poly_from_json(g_data)
     except (KeyError, TypeError, ValueError) as exc:
         raise GermRejection(f"malformed perturbation g: {exc}") from None
     rho_one = raw.get("rho_one", False)
@@ -185,8 +179,6 @@ def validate_germ(raw) -> GermSpec:
     if germ.case == "N" and germ.m is not None:
         raise GermRejection("case N takes no parameter m")
 
-    if germ.tg.dim != 4:
-        raise GermRejection("the perturbation lives in (x, y, z, t)")
     for exp, _ in germ.tg.items():
         if exp[3] < 1:
             raise GermRejection(
@@ -195,7 +187,7 @@ def validate_germ(raw) -> GermSpec:
             )
 
     germ = germ._replace(a=a)
-    lattice = germ.character_lattice
+    lattice = germ.weight_lattice
     bad = next((e for e, _ in germ.tg.items() if mu_n_character(lattice, e)), None)
     if bad is not None:
         raise GermRejection(

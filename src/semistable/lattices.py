@@ -1,26 +1,28 @@
 """Exact arithmetic for corank-one quotient lattices and fractional blowup weights.
 
 A cyclic quotient germ of index n with action weights (1, -1, a) carries the
-monomial-valuation lattice
+lattice of monomial valuations on x, y, z (t always weighs 1)
 
-    N = Z^dim + Z * (1/n)(1, -1, a[, 0]),    gcd(a, n) = 1,  dim in {3, 4},
+    N = Z^3 + Z * (1/n)(1, -1, a),    gcd(a, n) = 1,
 
 a corank-one extension of the integer lattice.  Membership and primitivity
 are decided on integers.  Write a rational vector as m/d with d its exact
 common denominator, so gcd(d, m) = 1.  Then m/d lies in N iff
 
-    d | n,   m1 + m2 = 0,   m3 = a*m1   [and m4 = 0]     (mod d).
+    d | n,   m1 + m2 = 0,   m3 = a*m1     (mod d).
 
 A member m/d is primitive unless m/(d*p) is a member for some prime p; only
 primes dividing gcd(m) or e = n/d can do that, and for a prime p | e not
 dividing gcd(m) it means the same congruences hold mod d*p.  One private
 core (`_contains`, `_primitive`) carries these congruences for rational
-vectors and for `WeightVector`s alike.  No floating point anywhere; the
-`fractions.Fraction` entry points convert to m/d once.
+vectors and for `WeightVector`s alike.  No floating point anywhere: inputs
+are `int`s or `Fraction`s, anything else is a TypeError (`_exact`), and the
+rational entry points convert to m/d once.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
@@ -28,6 +30,30 @@ from typing import NamedTuple
 from .errors import DomainRejection, InternalError
 
 Vector = tuple[Fraction, ...]
+
+_INTEGER = re.compile(r"-?[0-9]+")  # ASCII digits only: no "+", "_", spaces or other scripts
+
+
+def _exact(value, integral: bool = False):
+    """value if it is an int (not a bool) or, unless integral, a Fraction; else TypeError."""
+    if type(value) is int or (not integral and type(value) is Fraction):
+        return value
+    kind = "an integer" if integral else "an integer or a Fraction"
+    raise TypeError(f"expected {kind}, got {value!r}")
+
+
+def integer(text: str) -> int:
+    """Read an integer written -?[0-9]+; any other text is a ValueError."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer of the form -?[0-9]+")
+    return int(text)
+
+
+def natural(text: str) -> int:
+    """Read a nonnegative integer written [0-9]+; any other text is a ValueError."""
+    if text.startswith("-"):
+        raise ValueError(f"{text!r} is not a nonnegative integer of the form [0-9]+")
+    return integer(text)
 
 
 def ratio_to_str(p: int, q: int) -> str:
@@ -43,10 +69,10 @@ def fraction_to_str(x: Fraction | int) -> str:
     return ratio_to_str(x.numerator, x.denominator)
 
 
-def to_vector(entries, dim: int | None = None) -> Vector:
-    """Coerce a sequence of rationals to an exact vector, checking its length."""
-    v = tuple(Fraction(e) for e in entries)
-    if dim is not None and len(v) != dim:
+def to_vector(entries, dim: int) -> Vector:
+    """An exact vector of ints and Fractions, checking its length."""
+    v = tuple(Fraction(_exact(e)) for e in entries)
+    if len(v) != dim:
         raise ValueError(f"expected a vector of dimension {dim}, got {len(v)}")
     return v
 
@@ -72,24 +98,21 @@ def divisors(n: int) -> list[int]:
 
 
 class _QuotientLatticeFields(NamedTuple):
-    dim: int
     n: int
     a: int
 
 
 class QuotientLattice(_QuotientLatticeFields):
-    """The lattice Z^dim + Z*(1/n)(1, -1, a[, 0]) with gcd(a, n) = 1."""
+    """The weight lattice Z^3 + Z*(1/n)(1, -1, a) with gcd(a, n) = 1."""
 
     __slots__ = ()
 
-    def __new__(cls, dim: int, n: int, a: int):
-        if dim not in (3, 4):
-            raise ValueError("lattice dimension must be 3 or 4")
+    def __new__(cls, n: int, a: int):
         if n < 1:
             raise ValueError("index n must be a positive integer")
         if gcd(a, n) != 1:
             raise ValueError(f"gcd(a, n) must be 1, got a={a}, n={n}")
-        return super().__new__(cls, dim, n, a)
+        return super().__new__(cls, n, a)
 
 
 def _scaled(v: Vector) -> tuple[tuple[int, ...], int]:
@@ -99,17 +122,12 @@ def _scaled(v: Vector) -> tuple[tuple[int, ...], int]:
 
 
 def _contains(n: int, a: int, m: tuple[int, ...], d: int) -> bool:
-    """Whether m/d lies in Z^dim + Z*(1/n)(1, -1, a[, 0]); d is exact for m.
+    """Whether m/d lies in Z^3 + Z*(1/n)(1, -1, a); d is exact for m.
 
-    n*(m/d) must be j*(1, -1, a[, 0]) mod n; with n = d*e the first slot
-    pins j = e*m1, which leaves the congruences below mod d.
+    n*(m/d) must be j*(1, -1, a) mod n; with n = d*e the first slot pins
+    j = e*m1, which leaves the congruences below mod d.
     """
-    return (
-        n % d == 0
-        and (m[0] + m[1]) % d == 0
-        and (m[2] - a * m[0]) % d == 0
-        and (len(m) == 3 or m[3] % d == 0)
-    )
+    return n % d == 0 and (m[0] + m[1]) % d == 0 and (m[2] - a * m[0]) % d == 0
 
 
 def _primitive(n: int, a: int, m: tuple[int, ...], d: int) -> bool:
@@ -130,13 +148,13 @@ def _primitive(n: int, a: int, m: tuple[int, ...], d: int) -> bool:
 
 def lattice_contains(lattice: QuotientLattice, v) -> bool:
     """Whether the rational vector v lies in the lattice."""
-    m, d = _scaled(to_vector(v, lattice.dim))
+    m, d = _scaled(to_vector(v, 3))
     return _contains(lattice.n, lattice.a, m, d)
 
 
 def is_primitive(lattice: QuotientLattice, v) -> bool:
     """Whether v is primitive in the lattice, i.e. v/p leaves it for every prime p."""
-    v = to_vector(v, lattice.dim)
+    v = to_vector(v, 3)
     m, d = _scaled(v)
     if not any(m):
         raise ValueError("the zero vector is not primitive")
@@ -161,17 +179,14 @@ def fibre_quotient(k: int, n: int, a: int) -> tuple[int, int]:
 
 
 def mu_n_character(lattice: QuotientLattice, exponents) -> int:
-    """Character of the monomial with the given exponents under the 1/n(1,-1,a[,0]) action.
+    """Character of the monomial x^i y^j z^k t^l under the 1/n(1,-1,a,0) action.
 
-    Returns (i - j + a*k) mod n for exponents (i, j, k[, l]); the fourth slot
-    (the base parameter t) contributes 0.
+    Returns (i - j + a*k) mod n for the exponent (i, j, k, l); the base
+    parameter t contributes 0.
     """
-    exps = tuple(exponents)
-    if len(exps) != lattice.dim:
-        raise ValueError(f"expected {lattice.dim} exponents, got {len(exps)}")
-    if any(e < 0 for e in exps):
+    i, j, k, l = exponents
+    if min(i, j, k, l) < 0:
         raise ValueError("exponents must be nonnegative")
-    i, j, k = exps[0], exps[1], exps[2]
     return (i - j + lattice.a * k) % lattice.n
 
 
@@ -192,10 +207,10 @@ class WeightVector(_WeightVectorFields):
     __slots__ = ()
 
     def __new__(cls, numerators: tuple[int, int, int], denominator: int = 1):
-        nums = tuple(int(c) for c in numerators)
+        nums = tuple(_exact(c, integral=True) for c in numerators)
         if len(nums) != 3 or any(c <= 0 for c in nums):
             raise ValueError("weight entries must be three positive integers")
-        if denominator < 1:
+        if _exact(denominator, integral=True) < 1:
             raise ValueError("weight denominator must be positive")
         if gcd(gcd(nums[0], nums[1]), nums[2]) != 1:
             raise ValueError(f"weight entries must be coprime, got {nums}")
@@ -225,14 +240,10 @@ class WeightVector(_WeightVectorFields):
 
 
 def weight_in_lattice(lattice: QuotientLattice, w: WeightVector) -> bool:
-    if lattice.dim != 3:
-        raise ValueError("weights live in the dimension-3 lattice")
     return _contains(lattice.n, lattice.a, w.numerators, w.denominator)
 
 
 def weight_is_primitive(lattice: QuotientLattice, w: WeightVector) -> bool:
-    if lattice.dim != 3:
-        raise ValueError("weights live in the dimension-3 lattice")
     if not _contains(lattice.n, lattice.a, w.numerators, w.denominator):
         raise ValueError(f"{w.fractions} does not lie in the lattice")
     return _primitive(lattice.n, lattice.a, w.numerators, w.denominator)
@@ -241,15 +252,16 @@ def weight_is_primitive(lattice: QuotientLattice, w: WeightVector) -> bool:
 def parse_weight(text: str) -> WeightVector:
     """Parse "a1,a2,a3" or "a1,a2,a3/d" into a WeightVector.
 
-    Malformed text raises ValueError; integers that make no weight vector
-    (e.g. "2,2,2" or "1,5,3/0") raise DomainRejection.
+    Entries and d are read by `integer`: malformed text raises ValueError;
+    integers that make no weight vector (e.g. "2,2,2" or "1,5,3/0") raise
+    DomainRejection.
     """
-    body, _, denom = text.partition("/")
-    parts = [p.strip() for p in body.split(",")]
+    body, slash, denom = text.partition("/")
+    parts = body.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated entries, got {text!r}")
-    nums = tuple(int(p) for p in parts)
-    d = int(denom) if denom else 1
+    nums = tuple(integer(p) for p in parts)
+    d = integer(denom) if slash else 1
     try:
         return WeightVector(nums, d)
     except ValueError as exc:

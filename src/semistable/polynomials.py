@@ -1,15 +1,15 @@
-"""Sparse polynomials in x, y, z[, t] over exact rationals, with weighted gradings.
+"""Sparse polynomials in x, y, z, t over exact rationals, with weighted gradings.
 
-Monomials are exponent tuples of a fixed dimension (3 or 4 per polynomial),
+Every polynomial lives in the four variables of the germs, x, y, z and the
+base-curve parameter t: monomials are exponent tuples (i, j, k, l),
 coefficients are `fractions.Fraction`, and no zero coefficient is ever
 stored.  The weight (1/d)(a1, a2, a3) assigns (1/d)(a1*i + a2*j + a3*k) + l
-to the exponent (i, j, k, l); the fourth coordinate is the base-curve
-parameter t and always weighs 1.  Gradings are computed on the scaled
-weight d*(that) = a1*i + a2*j + a3*k + d*l, an integer, so valuation,
-homogeneity and the graded piece are integer min / filter computations.
-`valuation` and `is_homogeneous` hand out `Fraction(scaled, d)` only at
-their return; `valuation_with_weights` computes in the number type of the
-weights it is given, so integer weights give an integer.
+to the exponent (i, j, k, l); t always weighs 1.  Gradings are computed on
+the scaled weight d*(that) = a1*i + a2*j + a3*k + d*l, an integer, so
+valuation, homogeneity and the graded piece are integer min / filter
+computations.  `valuation` and `is_homogeneous` hand out `Fraction(scaled, d)`
+only at their return; `valuation_with_weights` computes in the number type
+of the weights it is given, so integer weights give an integer.
 """
 
 from __future__ import annotations
@@ -18,42 +18,35 @@ import re
 from fractions import Fraction
 
 from .errors import ZeroPolynomialError
-from .lattices import QuotientLattice, WeightVector, fraction_to_str, mu_n_character
+from .lattices import QuotientLattice, WeightVector, _exact, fraction_to_str, mu_n_character
 
 VAR_NAMES = ("x", "y", "z", "t")
 
-Exponent = tuple[int, ...]
+Exponent = tuple[int, int, int, int]
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")  # "p" or "p/q"; ASCII digits only
+_ZERO = Fraction(0)
 
 
 class SparsePoly:
-    """Immutable sparse polynomial: a map from exponent tuples to nonzero rationals."""
+    """Immutable sparse polynomial in x, y, z, t: exponents (i, j, k, l) to nonzero rationals.
 
-    __slots__ = ("dim", "_terms")
+    Exponents are ints and coefficients ints or Fractions; the zero polynomial is SparsePoly().
+    """
 
-    def __init__(self, terms=None, dim: int | None = None):
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms=None):
         data: dict[Exponent, Fraction] = {}
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for exp, coeff in items:
-                exp = tuple(int(e) for e in exp)
-                if any(e < 0 for e in exp):
-                    raise ValueError(f"negative exponent in {exp}")
-                if dim is None:
-                    dim = len(exp)
-                elif len(exp) != dim:
-                    raise ValueError("mixed exponent dimensions in one polynomial")
-                c = data.get(exp, Fraction(0)) + Fraction(coeff)
-                if c:
-                    data[exp] = c
-                else:
-                    data.pop(exp, None)
-        if dim is None:
-            raise ValueError("dimension required for the zero polynomial")
-        if dim not in (3, 4):
-            raise ValueError("polynomials live in 3 or 4 variables")
-        object.__setattr__(self, "dim", dim)
+        for exp, coeff in (terms or {}).items():
+            exp = tuple(_exact(e, integral=True) for e in exp)
+            if len(exp) != 4 or min(exp) < 0:
+                raise ValueError(f"exponent {exp} is not four nonnegative slots (x, y, z, t)")
+            c = data.get(exp, _ZERO) + _exact(coeff)
+            if c:
+                data[exp] = c
+            else:
+                data.pop(exp, None)
         object.__setattr__(self, "_terms", data)
 
     def __setattr__(self, name, value):
@@ -63,15 +56,11 @@ class SparsePoly:
         raise AttributeError(f"SparsePoly is immutable: cannot delete {name!r}")
 
     def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
-        return SparsePoly, (self._terms, self.dim)
+        return SparsePoly, (self._terms,)
 
     @classmethod
-    def zero(cls, dim: int = 4) -> "SparsePoly":
-        return cls({}, dim=dim)
-
-    @classmethod
-    def monomial(cls, exp, coeff=1, dim: int | None = None) -> "SparsePoly":
-        return cls({tuple(exp): Fraction(coeff)}, dim=dim)
+    def monomial(cls, exp, coeff=1) -> "SparsePoly":
+        return cls({tuple(exp): coeff})
 
     @property
     def is_zero(self) -> bool:
@@ -86,68 +75,24 @@ class SparsePoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.dim == other.dim and self._terms == other._terms
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self._terms.items())))
+        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
         out = dict(self._terms)
         for exp, c in other._terms.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return SparsePoly(out, dim=self.dim)
-
-    def __neg__(self) -> "SparsePoly":
-        return SparsePoly({e: -c for e, c in self._terms.items()}, dim=self.dim)
-
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return SparsePoly.zero(self.dim)
-            return SparsePoly(
-                {e: c * other for e, c in self._terms.items()}, dim=self.dim
-            )
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return SparsePoly(out, dim=self.dim)
-
-    __rmul__ = __mul__
+            out[exp] = out.get(exp, _ZERO) + c
+        return SparsePoly(out)
 
     def times_t(self) -> "SparsePoly":
-        """Multiply by t (dimension-4 polynomials only)."""
-        if self.dim != 4:
-            raise ValueError("t lives in the fourth slot")
-        return SparsePoly(
-            {(i, j, k, l + 1): c for (i, j, k, l), c in self._terms.items()}, dim=4
-        )
+        """Multiply by t."""
+        return SparsePoly({(i, j, k, l + 1): c for (i, j, k, l), c in self._terms.items()})
 
     def t_truncated(self, order: int) -> "SparsePoly":
         """Drop every monomial with t-exponent above `order`."""
-        if self.dim != 4:
-            raise ValueError("t lives in the fourth slot")
-        return SparsePoly(
-            {e: c for e, c in self._terms.items() if e[3] <= order}, dim=4
-        )
+        return SparsePoly({e: c for e, c in self._terms.items() if e[3] <= order})
 
     def __repr__(self) -> str:
         return f"SparsePoly({format_poly(self)})"
@@ -185,7 +130,7 @@ def poly_to_json(p: SparsePoly) -> list[dict]:
     ]
 
 
-def poly_from_json(data, dim: int = 4) -> SparsePoly:
+def poly_from_json(data) -> SparsePoly:
     """Read a list of {"coeff", "exp"} monomials, strictly.
 
     Exponents must be integers and coefficients strings of the form "p" or
@@ -201,9 +146,7 @@ def poly_from_json(data, dim: int = 4) -> SparsePoly:
         unknown = [key for key in entry if key not in ("coeff", "exp")]
         if unknown:
             raise ValueError(f"unknown monomial key {unknown[0]!r} (allowed: coeff, exp)")
-        exp = tuple(entry["exp"])
-        if any(type(e) is not int for e in exp):  # bool is a subclass of int
-            raise TypeError(f"exponents must be integers, got {entry['exp']!r}")
+        exp = tuple(entry["exp"])  # SparsePoly checks the exponents
         coeff = entry["coeff"]
         if not isinstance(coeff, str):
             raise TypeError(f"coefficient must be a rational string, got {coeff!r}")
@@ -214,7 +157,7 @@ def poly_from_json(data, dim: int = 4) -> SparsePoly:
         except ZeroDivisionError:
             raise ValueError(f"coefficient {coeff!r} has a zero denominator") from None
         terms[exp] = terms.get(exp, Fraction(0)) + value
-    return SparsePoly(terms, dim=dim)
+    return SparsePoly(terms)
 
 
 # ----------------------------------------------------------------------------
@@ -222,13 +165,9 @@ def poly_from_json(data, dim: int = 4) -> SparsePoly:
 
 
 def scaled_monomial_weight(w: WeightVector, exp) -> int:
-    """d times the weight of the monomial: a1*i + a2*j + a3*k [+ d*l]."""
+    """d times the weight of the monomial: a1*i + a2*j + a3*k + d*l."""
     a1, a2, a3 = w.numerators
-    if len(exp) == 4:
-        return a1 * exp[0] + a2 * exp[1] + a3 * exp[2] + w.denominator * exp[3]
-    if len(exp) == 3:
-        return a1 * exp[0] + a2 * exp[1] + a3 * exp[2]
-    raise ValueError("exponent must have 3 or 4 entries")
+    return a1 * exp[0] + a2 * exp[1] + a3 * exp[2] + w.denominator * exp[3]
 
 
 def scaled_valuation(w: WeightVector, h: SparsePoly) -> int:
@@ -247,10 +186,10 @@ def valuation_with_weights(weights, h: SparsePoly) -> int | Fraction:
     """Least sum(w_i * e_i) over the monomials of h, one weight per variable.
 
     Exact in the weights as given: integer weights give an int, `Fraction`s
-    a `Fraction`.  The number of weights must equal the dimension of h.
+    a `Fraction`.  There is one weight for each of x, y, z, t.
     """
-    if len(weights) != h.dim:
-        raise ValueError(f"expected {h.dim} weights, got {len(weights)}")
+    if len(weights) != 4:
+        raise ValueError(f"expected 4 weights, got {len(weights)}")
     if h.is_zero:
         raise ZeroPolynomialError("the zero polynomial has infinite valuation")
     return min(sum(w * e for w, e in zip(weights, exp)) for exp in h._terms)
@@ -282,14 +221,12 @@ def scaled_graded_piece(w: WeightVector, h: SparsePoly, scaled_value: int) -> Sp
         e: c for e, c in h._terms.items()
         if scaled_monomial_weight(w, e) == scaled_value
     }
-    return SparsePoly(terms, dim=h.dim)
+    return SparsePoly(terms)
 
 
 def is_mu_n_invariant(lattice: QuotientLattice, h: SparsePoly) -> bool:
-    """Whether every monomial of h has character 0 under the 1/n(1,-1,a[,0]) action."""
-    if lattice.dim != h.dim:
-        raise ValueError("lattice / polynomial dimension mismatch")
-    return all(mu_n_character(lattice, e) == 0 for e, _ in h.items())
+    """Whether every monomial of h has character 0 under the 1/n(1,-1,a,0) action."""
+    return all(mu_n_character(lattice, e) == 0 for e in h._terms)
 
 
 # ----------------------------------------------------------------------------
@@ -334,23 +271,6 @@ def _gcd_dense(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return _monic(a)
 
 
-def _univariate_coefficients(h: SparsePoly) -> list[Fraction]:
-    """Dense coefficient list of a genuinely univariate polynomial."""
-    if h.is_zero:
-        raise ZeroPolynomialError("zero polynomial")
-    used = [s for s in range(h.dim) if any(e[s] > 0 for e, _ in h.items())]
-    if len(used) > 1:
-        raise ValueError("polynomial is not univariate")
-    if not used:
-        return [next(c for _, c in h.items())]
-    var = used[0]
-    degree = max(e[var] for e, _ in h.items())
-    cs = [Fraction(0)] * (degree + 1)
-    for e, c in h.items():
-        cs[e[var]] = c
-    return cs
-
-
 def _sub_dense(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     out = [Fraction(0)] * max(len(a), len(b))
     for i, x in enumerate(a):
@@ -360,13 +280,16 @@ def _sub_dense(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return _trim(out)
 
 
-def squarefree_multiplicities(h: SparsePoly) -> list[tuple[int, int]]:
+def squarefree_multiplicities(coefficients) -> list[tuple[int, int]]:
     """Yun decomposition h = prod s_i^i: returns (deg s_i, i) for each nonconstant s_i.
 
+    h is given by its coefficients (ints or Fractions), constant term first.
     Roots of multiplicity i number deg s_i in the algebraic closure; roots are
     never located, only counted by factor degree.  Constant input yields [].
     """
-    cs = _univariate_coefficients(h)
+    cs = _trim([Fraction(_exact(c)) for c in coefficients])
+    if not cs:
+        raise ZeroPolynomialError("zero polynomial")
     if len(cs) == 1:
         return []
     f = _monic(cs)

@@ -209,11 +209,11 @@ class SurfaceCone(_SurfaceConeFields):
     # x + y = 0 of Z^3 + Z*(1/r)(1, -1, q), so the rank-3 checks decide both.
     def contains_ray(self, v) -> bool:
         u, w = to_vector(v, 2)
-        return lattice_contains(QuotientLattice(3, self.r, self.q), (u, -u, w))
+        return lattice_contains(QuotientLattice(self.r, self.q), (u, -u, w))
 
     def ray_is_primitive(self, v) -> bool:
         u, w = to_vector(v, 2)
-        return is_primitive(QuotientLattice(3, self.r, self.q), (u, -u, w))
+        return is_primitive(QuotientLattice(self.r, self.q), (u, -u, w))
 
     def to_json(self) -> dict:
         return {

@@ -6,7 +6,9 @@ weight enumeration below rechecks every filter on its own; valuations sum
 Fraction weights monomial by monomial; the census oracle asks sympy's
 squarefree factorization and the isolatedness oracle sympy's Groebner basis.
 Slow and dumb on purpose.  `reduced_T_records` draws the random records the
-census and cover properties run on.
+census and cover properties run on; `poly_product` and `dense_product` build
+the products the polynomial tests need, since the library keeps no ring
+product.
 """
 
 from fractions import Fraction
@@ -21,22 +23,22 @@ PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
           61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
 
 
-def oracle_contains(n, a, v, dim=3):
-    gen = [Fraction(1, n), Fraction(-1, n), Fraction(a, n), Fraction(0)][:dim]
+def oracle_contains(n, a, v):
+    gen = [Fraction(1, n), Fraction(-1, n), Fraction(a, n)]
     for j in range(n):
         if all((Fraction(c) - j * g).denominator == 1 for c, g in zip(v, gen)):
             return True
     return False
 
 
-def oracle_primitive(n, a, v, dim=3):
-    assert oracle_contains(n, a, v, dim)
+def oracle_primitive(n, a, v):
+    assert oracle_contains(n, a, v)
     biggest = max(abs(Fraction(c) * n) for c in v)
     assert biggest < PRIMES[-1] ** 2, "prime list too short for this input"
     for p in PRIMES:
         if p > biggest:
             break
-        if oracle_contains(n, a, tuple(Fraction(c) / p for c in v), dim):
+        if oracle_contains(n, a, tuple(Fraction(c) / p for c in v)):
             return False
     return True
 
@@ -83,6 +85,31 @@ def oracle_valuation(weights, exponents):
     """Least weight sum(w_i * e_i) over the exponents, with t weighing 1 in slot 4."""
     full = [Fraction(w) for w in weights] + [Fraction(1)]
     return min(sum((w * e for w, e in zip(full, exp)), Fraction(0)) for exp in exponents)
+
+
+def poly_product(*factors):
+    """The product of SparsePolys in x, y, z, t, monomial by monomial."""
+    terms = {(0, 0, 0, 0): Fraction(1)}
+    for factor in factors:
+        out = {}
+        for e1, c1 in terms.items():
+            for e2, c2 in factor.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        terms = out
+    return ss.SparsePoly(terms)
+
+
+def dense_product(*factors):
+    """The product of univariate coefficient lists, constant term first."""
+    out = [Fraction(1)]
+    for factor in factors:
+        prod = [Fraction(0)] * (len(out) + len(factor) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(factor):
+                prod[i + j] += a * b
+        out = prod
+    return out
 
 
 def oracle_interior(record):

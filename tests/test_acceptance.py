@@ -199,7 +199,7 @@ def test_criterion_7_invariant_sweep():
         assert record.semistable_ok
         if not germ.tg.is_zero:
             assert ss.valuation(record.w0, germ.tg) >= record.lam
-        assert ss.is_mu_n_invariant(germ.character_lattice, germ.f + germ.tg)
+        assert ss.is_mu_n_invariant(germ.weight_lattice, germ.f + germ.tg)
         if germ.case == "T":
             a1, a2, a3 = record.w0.numerators
             d = record.w0.denominator

@@ -106,7 +106,7 @@ def test_germ_outside_the_json_contract_is_a_rejection(germ_file, capsys):
 
 def test_negative_trunc_order_is_parse_failure(germ_file, capsys):
     assert main(["classify", germ_file(QUADRIC), "--probe", "--trunc-order", "-1"]) == 3
-    assert "--trunc-order must be nonnegative" in capsys.readouterr().err
+    assert "--trunc-order: invalid natural value: '-1'" in capsys.readouterr().err
 
 
 def test_closed_stdout_exits_1_without_traceback(germ_file):
@@ -152,6 +152,22 @@ def test_resolve_bad_arguments(capsys):
     assert main(["resolve", "five", "2"]) == 3
 
 
+@pytest.mark.parametrize("r,q", [("1_0", "3"), ("10", "+3"), (" 5", "2"), ("5", "\u0662"),
+                                 ("5 ", "2"), ("5.0", "2"), ("", "2")])
+def test_integer_arguments_are_ascii_digits(r, q, capsys):
+    # -?[0-9]+ and nothing else: Python's int() would accept each of these
+    assert main(["resolve", r, q]) == 3
+    assert "invalid integer value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["enumerate", "--bound"], ["classify", "--probe", "--trunc-order"]])
+@pytest.mark.parametrize("value", ["1_6", "+4", "-5", " 4", "\u0664", "4.0"])
+def test_nonnegative_arguments_are_ascii_digits(germ_file, flag, value, capsys):
+    command, *options = flag
+    assert main([command, germ_file(E6), *options, value]) == 3
+    assert "invalid natural value" in capsys.readouterr().err
+
+
 def test_enumerate_E6(germ_file, capsys):
     assert main(["enumerate", germ_file(E6)]) == 0
     out = capsys.readouterr().out
@@ -167,7 +183,7 @@ def test_enumerate_needs_bound_for_case_T(germ_file, capsys):
 
 def test_enumerate_negative_bound_is_parse_failure(germ_file, capsys):
     assert main(["enumerate", germ_file(QUADRIC), "--bound", "-1"]) == 3
-    assert "nonnegative --bound" in capsys.readouterr().err
+    assert "--bound: invalid natural value: '-1'" in capsys.readouterr().err
 
 
 def test_enumerate_bound_zero(germ_file, capsys):
@@ -221,8 +237,11 @@ def test_blowup_rejects_semistability_violation(germ_file, capsys):
 def test_weights_parse_failures(germ_file, capsys):
     assert main(["blowup", germ_file(QUADRIC), "--weights", "1,5"]) == 3
     assert main(["blowup", germ_file(QUADRIC), "--weights", "a,b,c"]) == 3
+    for text in ("1,5,3/", "1_0,5,3/2", "\u0661,14,3/5", "1, 5, 3/2", "+1,5,3/2"):
+        assert main(["blowup", germ_file(QUADRIC), "--weights", text]) == 3
     # well-formed but never a weight vector: a domain rejection
-    assert main(["blowup", germ_file(QUADRIC), "--weights", "2,2,2"]) == 2
+    for text in ("2,2,2", "1,-5,3/2", "-1,5,3/2", "1,5,3/0"):
+        assert main(["blowup", germ_file(QUADRIC), f"--weights={text}"]) == 2
 
 
 def test_census_cubic(germ_file, capsys):

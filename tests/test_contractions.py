@@ -45,7 +45,7 @@ def test_enumeration_bound_zero_is_empty():
 
 def test_enumeration_is_sorted_and_validated():
     for n, a, k in [(2, 1, 1), (3, 1, 1), (3, 2, 2)]:
-        lattice = ss.QuotientLattice(3, n, a)
+        lattice = ss.QuotientLattice(n, a)
         weights = ss.admissible_weights_T(n, a, k, 4)
         keys = [w.fractions for w in weights]
         assert keys == sorted(keys)

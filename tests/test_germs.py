@@ -84,8 +84,8 @@ def test_validate_idempotent():
 def test_normal_forms_are_invariant():
     for raw in [QUADRIC, raw_T(3, 2, 2), raw_T(5, 2, 1), raw_T(1, 0, 4)]:
         germ = ss.validate_germ(raw)
-        assert ss.is_mu_n_invariant(germ.character_lattice, germ.f)
-        assert ss.is_mu_n_invariant(germ.character_lattice, germ.f + germ.tg)
+        assert ss.is_mu_n_invariant(germ.weight_lattice, germ.f)
+        assert ss.is_mu_n_invariant(germ.weight_lattice, germ.f + germ.tg)
 
 
 def test_fibre_singularity_examples():

@@ -65,7 +65,7 @@ def test_scan_matches_bruteforce(data, k, numerator, denominator):
 @given(quotient_data(), weights())
 def test_weight_checks_match_oracle(data, w):
     n, a = data  # w.denominator need not divide n
-    lattice = ss.QuotientLattice(3, n, a)
+    lattice = ss.QuotientLattice(n, a)
     member = ss.weight_in_lattice(lattice, w)
     assert member == oracle_contains(n, a, w.fractions)
     if member:
@@ -75,19 +75,18 @@ def test_weight_checks_match_oracle(data, w):
 @PROPERTY
 @given(
     quotient_data(),
-    st.sampled_from([3, 4]),
-    st.lists(st.integers(-12, 12), min_size=4, max_size=4),
+    st.lists(st.integers(-12, 12), min_size=3, max_size=3),
     st.integers(1, 15),
 )
-def test_rational_vector_checks_match_oracle(data, dim, numerators, denominator):
-    # arbitrary sign, content and denominator; the dimension-4 slot too
+def test_rational_vector_checks_match_oracle(data, numerators, denominator):
+    # arbitrary sign, content and denominator
     n, a = data
-    lattice = ss.QuotientLattice(dim, n, a)
-    v = tuple(Fraction(c, denominator) for c in numerators[:dim])
+    lattice = ss.QuotientLattice(n, a)
+    v = tuple(Fraction(c, denominator) for c in numerators)
     member = ss.lattice_contains(lattice, v)
-    assert member == oracle_contains(n, a, v, dim)
+    assert member == oracle_contains(n, a, v)
     if member and any(v):
-        assert ss.is_primitive(lattice, v) == oracle_primitive(n, a, v, dim)
+        assert ss.is_primitive(lattice, v) == oracle_primitive(n, a, v)
 
 
 @PROPERTY
@@ -96,12 +95,10 @@ def test_rational_vector_checks_match_oracle(data, dim, numerators, denominator)
     st.lists(st.tuples(*[st.integers(0, 5)] * 4), min_size=1, max_size=6),
 )
 def test_valuation_matches_naive_sum(w, exponents):
-    h = SparsePoly({exp: 1 for exp in exponents}, dim=4)
+    h = SparsePoly({exp: 1 for exp in exponents})
     assert ss.valuation(w, h) == oracle_valuation(w.fractions, exponents)
     for exp in exponents:
-        for slots in (exp, exp[:3]):
-            monomial = SparsePoly.monomial(slots)
-            assert ss.valuation(w, monomial) == oracle_valuation(w.fractions, [slots])
+        assert ss.valuation(w, SparsePoly.monomial(exp)) == oracle_valuation(w.fractions, [exp])
 
 
 @PROPERTY
@@ -112,19 +109,19 @@ def test_valuation_matches_naive_sum(w, exponents):
 )
 def test_valuation_with_integer_weights_matches_oracle(numerators, c, exponents):
     # lifted weights c*(w0, 1) as on the index-one cover, w0 = numerators/c
-    h = SparsePoly({exp: 1 for exp in exponents}, dim=4)
+    h = SparsePoly({exp: 1 for exp in exponents})
     value = ss.valuation_with_weights((*numerators, c), h)
     assert type(value) is int
     assert value == c * oracle_valuation([Fraction(m, c) for m in numerators], exponents)
 
 
 @PROPERTY
-@given(st.sampled_from([3, 4]), st.lists(st.integers(1, 9), max_size=6))
-def test_valuation_with_weights_rejects_mismatched_lengths(dim, weights):
-    if len(weights) == dim:
+@given(st.lists(st.integers(1, 9), max_size=6))
+def test_valuation_with_weights_rejects_mismatched_lengths(weights):
+    if len(weights) == 4:
         weights.append(1)
-    h = SparsePoly.monomial((1,) * dim)
-    with pytest.raises(ValueError, match=f"expected {dim} weights"):
+    h = SparsePoly.monomial((1, 1, 1, 1))
+    with pytest.raises(ValueError, match="expected 4 weights"):
         ss.valuation_with_weights(weights, h)
 
 

@@ -8,13 +8,9 @@ import pytest
 import semistable as ss
 from semistable import SparsePoly
 from semistable.polynomials import scaled_graded_piece
+from oracles import dense_product, poly_product
 
 W = ss.WeightVector
-
-
-def zpoly(*coeffs):
-    """Univariate polynomial in z from (exponent, coeff) pairs."""
-    return SparsePoly({(0, 0, e, 0): c for e, c in coeffs})
 
 
 def monomial_weight(w, exp):
@@ -27,7 +23,6 @@ def test_monomial_weight_examples():
     assert monomial_weight(w, (0, 0, 2, 0)) == 3  # z^2
     assert monomial_weight(w, (0, 0, 0, 0)) == 0
     assert monomial_weight(W((1, 1, 1)), (0, 0, 0, 7)) == 7  # t^7
-    assert monomial_weight(w, (0, 0, 1)) == Fraction(3, 2)  # 3-variable exponent
 
 
 def test_valuation_examples():
@@ -35,7 +30,7 @@ def test_valuation_examples():
     assert ss.valuation(W((15, 10, 6)), ss.normal_form("E8")) == 30
     assert ss.valuation(W((1, 1, 1)), SparsePoly({(0, 0, 0, 7): 1})) == 7
     with pytest.raises(ss.ZeroPolynomialError):
-        ss.valuation(W((1, 1, 1)), SparsePoly.zero(4))
+        ss.valuation(W((1, 1, 1)), SparsePoly())
 
 
 def test_homogeneity_examples():
@@ -68,13 +63,13 @@ def test_graded_decomposition_examples():
     assert scaled_graded_piece(W((1, 5, 3), 2), h, 5).is_zero
 
 
-def _random_sparse(rng, dim=4, terms=4, positive=False):
+def _random_sparse(rng, terms=4, positive=False):
     data = {}
     for _ in range(terms):
-        exp = tuple(rng.randrange(4) for _ in range(dim))
+        exp = tuple(rng.randrange(4) for _ in range(4))
         coeff = rng.randrange(1, 7) if positive else rng.randrange(-6, 7) or 1
         data[exp] = coeff
-    return SparsePoly(data, dim=dim)
+    return SparsePoly(data)
 
 
 def _random_weight(rng):
@@ -92,7 +87,8 @@ def test_valuation_additive_on_positive_products():
         w = _random_weight(rng)
         h1 = _random_sparse(rng, positive=True)
         h2 = _random_sparse(rng, positive=True)
-        assert ss.valuation(w, h1 * h2) == ss.valuation(w, h1) + ss.valuation(w, h2)
+        product = poly_product(h1, h2)
+        assert ss.valuation(w, product) == ss.valuation(w, h1) + ss.valuation(w, h2)
 
 
 def test_graded_pieces_sum_to_whole():
@@ -103,7 +99,7 @@ def test_graded_pieces_sum_to_whole():
         if h.is_zero:
             continue
         pieces = graded_pieces(w, h)
-        total = SparsePoly.zero(4)
+        total = SparsePoly()
         for weight, part in pieces:
             ok, value = ss.is_homogeneous(w, part)
             assert ok and value == weight
@@ -113,48 +109,49 @@ def test_graded_pieces_sum_to_whole():
 
 
 def test_mu_invariance_examples():
-    L = ss.QuotientLattice(4, 2, 1)
+    L = ss.QuotientLattice(2, 1)
     h = SparsePoly({(1, 1, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 3): 1})
     assert ss.is_mu_n_invariant(L, h)
     assert not ss.is_mu_n_invariant(L, SparsePoly({(0, 0, 1, 0): 1}))
-    trivial = ss.QuotientLattice(4, 1, 0)
+    trivial = ss.QuotientLattice(1, 0)
     assert ss.is_mu_n_invariant(trivial, SparsePoly({(0, 0, 1, 0): 5, (1, 0, 0, 2): 3}))
 
 
 def test_squarefree_examples():
-    assert ss.squarefree_multiplicities(zpoly((3, 1), (1, -3), (0, 2))) == [(1, 1), (1, 2)]
+    # coefficient lists, constant term first
+    assert ss.squarefree_multiplicities([2, -3, 0, 1]) == [(1, 1), (1, 2)]
     for k in (1, 2, 5, 9):
-        assert ss.squarefree_multiplicities(zpoly((k, 1))) == [(1, k)]
-    assert ss.squarefree_multiplicities(zpoly((2, 1), (0, 1))) == [(2, 1)]
-    assert ss.squarefree_multiplicities(zpoly((0, 5))) == []
-    with pytest.raises(ss.ZeroPolynomialError):
-        ss.squarefree_multiplicities(SparsePoly.zero(4))
-    with pytest.raises(ValueError):
-        ss.squarefree_multiplicities(SparsePoly({(1, 0, 1, 0): 1}))
+        assert ss.squarefree_multiplicities([0] * k + [1]) == [(1, k)]
+    assert ss.squarefree_multiplicities([1, 0, 1]) == [(2, 1)]
+    assert ss.squarefree_multiplicities([Fraction(1, 2), 0, 0, 0]) == []  # trailing zeros
+    assert ss.squarefree_multiplicities([5]) == []
+    for zero in ([], [0], [Fraction(0), 0]):
+        with pytest.raises(ss.ZeroPolynomialError):
+            ss.squarefree_multiplicities(zero)
+    for inexact in ([1.0, 1], ["1", 1], [True, 1], [1, 0.5]):
+        with pytest.raises(TypeError):
+            ss.squarefree_multiplicities(inexact)
 
 
 def test_squarefree_against_constructed_products():
     rng = random.Random(31)
-    z = zpoly((1, 1))
     for _ in range(30):
         roots = rng.sample(range(-9, 10), rng.randrange(1, 5))
         expected = {}
-        h = zpoly((0, rng.choice([1, 2, -3])))
+        factors = [[rng.choice([1, 2, -3])]]
         for root in roots:
             mult = rng.randrange(1, 5)
-            factor = z + zpoly((0, -root))
-            for _ in range(mult):
-                h = h * factor
+            factors += [[-root, 1]] * mult
             expected[mult] = expected.get(mult, 0) + 1
+        h = dense_product(*factors)
         got = ss.squarefree_multiplicities(h)
         assert got == [(expected[mult], mult) for mult in sorted(expected)]
-        degree = max(e[2] for e, _ in h.items())
-        assert sum(deg * mult for deg, mult in got) == degree
+        assert sum(deg * mult for deg, mult in got) == len(h) - 1
 
 
 def test_squarefree_degree_bookkeeping_with_conjugate_roots():
     # (z^2 + 1)^2 * (z - 1): conjugate double pair plus a simple rational root
-    h = zpoly((2, 1), (0, 1)) * zpoly((2, 1), (0, 1)) * zpoly((1, 1), (0, -1))
+    h = dense_product([1, 0, 1], [1, 0, 1], [-1, 1])
     assert ss.squarefree_multiplicities(h) == [(1, 1), (2, 2)]
 
 
@@ -167,13 +164,25 @@ def test_poly_json_round_trip():
 
 def test_poly_arithmetic_and_formatting():
     x = SparsePoly.monomial((1, 0, 0, 0))
-    z = SparsePoly.monomial((0, 0, 1, 0))
-    h = x * x - 2 * z + SparsePoly.monomial((0, 0, 0, 0), Fraction(1, 3))
+    h = poly_product(x, x) + SparsePoly({(0, 0, 1, 0): -2, (0, 0, 0, 0): Fraction(1, 3)})
     assert ss.format_poly(h) == "x^2 - 2*z + 1/3"
-    assert (h - h).is_zero
-    assert ss.format_poly(SparsePoly.zero(4)) == "0"
-    with pytest.raises(ValueError):
-        SparsePoly({(1, 0, 0): 1}) + SparsePoly({(1, 0, 0, 0): 1})
+    assert (h + SparsePoly({e: -c for e, c in h.items()})).is_zero
+    assert ss.format_poly(SparsePoly()) == "0"
+
+
+def test_sparse_poly_inputs_are_exact():
+    # exponents are four nonnegative ints, coefficients ints or Fractions
+    for terms in ({(0, 0, 0, 1.5): 1}, {(0, 0, 0, True): 1}, {(0, 0, 0, 1): 0.1},
+                  {(0, 0, 0, 1): "1/3"}, {(0, 0, 0, 1): True}):
+        with pytest.raises(TypeError):
+            SparsePoly(terms)
+    with pytest.raises(TypeError):
+        SparsePoly.monomial((0, 0, 1, 0), 0.5)
+    for terms in ({(1, 0, 0): 1}, {(1, 0, 0, 0, 0): 1}, {(0, 0, -1, 0): 1}):
+        with pytest.raises(ValueError):
+            SparsePoly(terms)
+    h = SparsePoly({(0, 0, 0, 1): Fraction(1, 10), (1, 1, 0, 0): 2})
+    assert ss.format_poly(h) == "2*x*y + 1/10*t"
 
 
 def test_times_t_shifts_exponent():
@@ -191,12 +200,11 @@ def test_valuation_with_explicit_weights():
 
 def test_sparse_poly_is_immutable():
     h = SparsePoly({(1, 1, 0, 0): 1, (0, 0, 2, 0): 1})
-    for name, value in (("dim", 3), ("_terms", {}), ("other", 0)):
+    for name, value in (("_terms", {}), ("other", 0)):
         with pytest.raises(AttributeError):
             setattr(h, name, value)
-    for name in ("dim", "_terms"):
-        with pytest.raises(AttributeError):
-            delattr(h, name)
-    assert h.dim == 4 and h == SparsePoly({(1, 1, 0, 0): 1, (0, 0, 2, 0): 1})
+    with pytest.raises(AttributeError):
+        delattr(h, "_terms")
+    assert h == SparsePoly({(1, 1, 0, 0): 1, (0, 0, 2, 0): 1})
     for again in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
         assert again == h and hash(again) == hash(h)

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semistable as ss
 from oracles import PRIMES, oracle_contains2
@@ -283,3 +284,29 @@ def test_weights_match_primitive_interior_rays(k, n, a):
         mapped.add(ray)
         assert ss.ray_to_weight(k, n, ray) == w
     assert mapped == _ray_box(cone, k, n, bound)
+
+
+@st.composite
+def case_T_data(draw):
+    n = draw(st.integers(1, 6))
+    a = draw(st.sampled_from([a for a in range(n) if gcd(a, n) == 1]))
+    return draw(st.integers(1, 3)), n, a
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case_T_data(), st.integers(1, 4))
+def test_weight_ray_round_trip(data, bound):
+    # every admissible weight is a primitive lattice ray of its fibre cone and back
+    k, n, a = data
+    cone = ss.fibre_cone(k, n, a)
+    for w in ss.admissible_weights_T(n, a, k, bound):
+        ray = ss.weight_to_ray(k, n, w)
+        assert cone.contains_ray(ray) and oracle_contains2(cone.r, cone.q, ray)
+        assert cone.ray_is_primitive(ray)
+        biggest = max(abs(c * cone.r) for c in ray)
+        assert biggest < PRIMES[-1]
+        assert not any(
+            oracle_contains2(cone.r, cone.q, (ray[0] / p, ray[1] / p))
+            for p in PRIMES if p <= biggest
+        )
+        assert ss.ray_to_weight(k, n, ray) == w

@@ -35,7 +35,7 @@ def record(raw=QUADRIC, weights=((1, 5, 3), 2)):
 
 
 CASES = {
-    "QuotientLattice": (lambda: ss.QuotientLattice(3, 5, 2), "QuotientLattice(dim=3, n=5, a=2)"),
+    "QuotientLattice": (lambda: ss.QuotientLattice(5, 2), "QuotientLattice(n=5, a=2)"),
     "WeightVector": (
         lambda: ss.WeightVector((1, 5, 3), 2),
         "WeightVector(numerators=(1, 5, 3), denominator=2)",
