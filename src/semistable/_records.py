@@ -10,7 +10,7 @@ from __future__ import annotations
 from .census import SingularityCensus, census
 from .contractions import ContractionRecord
 from .cover import cover_data, verify_cover
-from .errors import DomainRejection, UnsupportedForm
+from .errors import UnsupportedForm
 from .lattices import fraction_to_str
 from .polynomials import format_poly
 
@@ -67,8 +67,6 @@ def _record_lines(record: ContractionRecord, indent: str = "") -> list[str]:
             lines.extend(_census_lines(census(record), indent))
         except UnsupportedForm as exc:
             lines.append(f"{indent}census: unsupported form ({exc})")
-        except DomainRejection as exc:
-            lines.append(f"{indent}census: {exc}")
     return lines
 
 
@@ -81,7 +79,7 @@ def _record_json(record: ContractionRecord) -> dict:
     else:
         try:
             data, note = census(record).to_json(), None
-        except DomainRejection as exc:  # UnsupportedForm included
+        except UnsupportedForm as exc:
             data, note = None, str(exc)
     payload.update(census=data, census_note=note)
     return payload

@@ -76,8 +76,8 @@ def reduced_g_coefficients(record: ContractionRecord) -> ReducedPerturbation:
     """Extract the c_i and series orders from a reduced-shape perturbation.
 
     Raises UnsupportedForm when t*g has monomials off the reduced grid
-    (involving x or y, z-exponents that are not i*n with i <= k-1, or
-    t-exponents below the weight of f).
+    (involving x or y, or z-exponents that are not i*n with i <= k-1).  No
+    t-exponent lies below the grid: a record has w(t*g) >= w(f).
     """
     germ = record.germ
     if germ.case != "T":
@@ -107,12 +107,9 @@ def reduced_g_coefficients(record: ContractionRecord) -> ReducedPerturbation:
             raise UnsupportedForm(
                 f"z-exponent {kz} exceeds the reduced bound {i_max}*{n}"
             )
-        t_min = (k - idx) * e * a3
+        t_min = (k - idx) * e * a3  # w(z^kz * t^l) >= w(f) in a record
         if l < t_min:
-            raise UnsupportedForm(
-                f"monomial z^{kz}*t^{l} has weight below w(f); "
-                f"the reduced shape needs t-exponent >= {t_min}"
-            )
+            raise InternalError(f"monomial z^{kz}*t^{l} of a record lies below w(f)")
         order = l - t_min  # b_idx = sum coeff * t^(l - t_min)
         if idx not in orders or order < orders[idx]:
             orders[idx] = order
@@ -156,13 +153,11 @@ def _interior(record: ContractionRecord, red: ReducedPerturbation) -> tuple[Inte
     h = red.chart_polynomial()
     if record.w0.denominator > 1:
         h = h[red.l_fibre * red.n:]  # z'^(l_fibre*n) is the least power of z' in h
-    entries = [
+    return tuple(  # Yun yields the multiplicities in ascending order
         InteriorEntry(l=mult, count=degree)
         for degree, mult in squarefree_multiplicities(h)
         if mult >= 2
-    ]
-    entries.sort(key=lambda entry: entry.l)
-    return tuple(entries)
+    )
 
 
 class OriginEntry(NamedTuple):

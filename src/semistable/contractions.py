@@ -12,18 +12,21 @@ admit exactly one weight vector:
 
 The discrepancy of the exceptional divisor is
 
-    sum(blowup weights) - valuation(f + t*g) - 1,
+    sum(blowup weights) - valuation(f + t*g) - 1  =  sum(a_i)/d - lambda
 
-the adjunction value for a hypersurface inside a weighted blowup; it is
-cross-checked against the index-one cover (see the cover module) and the
-rank-2 toric picture (see the resolution module).
+for w0 = (1/d)(a1, a2, a3), the adjunction value for a hypersurface inside a
+weighted blowup.  The two agree because f and t*g share no monomial (each
+monomial of t*g has t-degree >= 1), so a semistable pair has valuation
+lambda = w(f).  `verify_cover` recomputes the left side on the index-one
+cover, and the resolution module matches it to the rank-2 toric picture.
 
-Everything per weight runs on integers.  The scan walks the one residue
-class of a1 that the lattice congruence allows, and valuations are compared
-scaled by the weight denominator d (see the polynomials module): lambda,
-the semistability test, its witness, the graded piece at lambda - 1 and
-the discrepancy.  `Fraction(scaled, d)` is built only when a record is
-assembled.
+Each weight is decided once, by the private core `_contraction`: lambda,
+the semistability test, the graded piece at lambda - 1 and the record, or
+None when w(t*g) < w(f).  Enumeration runs it on the weights the scan
+yields, admissible by construction; `build_contraction` checks admissibility
+first and raises SemistabilityViolation for a None.  All of it runs on
+integers (valuations scaled by the weight denominator d, see the
+polynomials module); `Fraction(scaled, d)` is built only for a record.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .germs import GermSpec, normal_form
 from .lattices import (
     QuotientLattice,
     WeightVector,
+    _exact,
     divisors,
     fraction_to_str,
     ratio_to_str,
@@ -70,7 +74,7 @@ def admissible_weights_T(n: int, a: int, k: int, bound) -> list[WeightVector]:
         raise ValueError(f"invalid quotient data n={n}, a={a}")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    bound = Fraction(bound)
+    bound = Fraction(_exact(bound))
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     lattice = QuotientLattice(n, a)
@@ -117,13 +121,16 @@ def fixed_weights_DE(case: str, m: int | None = None) -> WeightVector:
     return w
 
 
+_NON_NORMAL = (
+    "non-normal fibre germs admit no contraction enumeration; "
+    "the classification assumes a normal special fibre"
+)
+
+
 def is_admissible(germ: GermSpec, w0: WeightVector) -> tuple[bool, str | None]:
     """Whether w0 is an admissible blowup weight for the germ; returns (ok, reason)."""
     if germ.case == "N":
-        return False, (
-            "non-normal fibre germs admit no contraction enumeration; "
-            "the classification assumes a normal special fibre"
-        )
+        return False, _NON_NORMAL
     if germ.case == "T":
         a1, a2, a3 = w0.numerators
         if a1 + a2 != germ.k * germ.n * a3:
@@ -174,6 +181,29 @@ class ContractionRecord(NamedTuple):
         }
 
 
+def _contraction(germ: GermSpec, w0: WeightVector) -> ContractionRecord | None:
+    """The record of w0, trusted to be admissible, or None when w(t*g) < w(f)."""
+    d = w0.denominator
+    lam_scaled = scaled_valuation(w0, germ.f)
+    if germ.tg.is_zero:
+        piece = SparsePoly()
+    elif scaled_valuation(w0, germ.tg) < lam_scaled:
+        return None
+    else:
+        piece = scaled_graded_piece(w0, germ.g, lam_scaled - d)  # weight lam - 1
+    return ContractionRecord(
+        germ=germ,
+        w0=w0,
+        lam=Fraction(lam_scaled, d),
+        # w(f + t*g) = lam, so d*(sum(w0, 1) - w(f + t*g) - 1) = sum(a_i) - d*lam
+        discrepancy=Fraction(sum(w0.numerators) - lam_scaled, d),
+        ambient=(*w0.numerators, d),
+        E_equation=germ.f + piece.times_t(),
+        semistable_ok=True,
+        contraction_status="divisorial-contraction" if germ.rho_one else "pending-rho",
+    )
+
+
 def build_contraction(germ: GermSpec, w0: WeightVector) -> ContractionRecord:
     """Assemble the contraction record for an admissible weight.
 
@@ -184,38 +214,17 @@ def build_contraction(germ: GermSpec, w0: WeightVector) -> ContractionRecord:
     ok, reason = is_admissible(germ, w0)
     if not ok:
         raise NonAdmissibleWeight(reason)
-    d = w0.denominator
-    lam_scaled = scaled_valuation(w0, germ.f)
-    if germ.tg.is_zero:
-        piece = SparsePoly()
-    else:
-        tg_scaled = scaled_valuation(w0, germ.tg)
-        if tg_scaled < lam_scaled:
-            exp, coeff = min_weight_monomial(w0, germ.tg)
-            raise SemistabilityViolation(
-                f"w(t*g) = {ratio_to_str(tg_scaled, d)} < "
-                f"w(f) = {ratio_to_str(lam_scaled, d)}; "
-                f"witness monomial {format_poly(SparsePoly.monomial(exp, coeff))}",
-                witness=exp,
-            )
-        piece = scaled_graded_piece(w0, germ.g, lam_scaled - d)  # weight lam - 1
-    # d times the discrepancy sum(w0, 1) - w(f + t*g) - 1; the 1s cancel
-    discrepancy_scaled = sum(w0.numerators) - scaled_valuation(w0, germ.equation)
-    if discrepancy_scaled <= 0:
-        raise DomainRejection(
-            f"discrepancy {ratio_to_str(discrepancy_scaled, d)} is not positive; "
-            "the pair is not terminal"
+    record = _contraction(germ, w0)
+    if record is None:
+        d = w0.denominator
+        exp, coeff = min_weight_monomial(w0, germ.tg)
+        raise SemistabilityViolation(
+            f"w(t*g) = {ratio_to_str(scaled_valuation(w0, germ.tg), d)} < "
+            f"w(f) = {ratio_to_str(scaled_valuation(w0, germ.f), d)}; "
+            f"witness monomial {format_poly(SparsePoly.monomial(exp, coeff))}",
+            witness=exp,
         )
-    return ContractionRecord(
-        germ=germ,
-        w0=w0,
-        lam=Fraction(lam_scaled, d),
-        discrepancy=Fraction(discrepancy_scaled, d),
-        ambient=(*w0.numerators, d),
-        E_equation=germ.f + piece.times_t(),
-        semistable_ok=True,
-        contraction_status="divisorial-contraction" if germ.rho_one else "pending-rho",
-    )
+    return record
 
 
 def enumerate_contractions(germ: GermSpec, bound=None):
@@ -226,10 +235,7 @@ def enumerate_contractions(germ: GermSpec, bound=None):
     needs a bound; D and E germs have a single record and ignore it.
     """
     if germ.case == "N":
-        raise DomainRejection(
-            "non-normal fibre germs admit no contraction enumeration; "
-            "the classification assumes a normal special fibre"
-        )
+        raise DomainRejection(_NON_NORMAL)
     if germ.case == "T":
         if bound is None:
             raise ValueError("case-T enumeration needs a bound")
@@ -237,11 +243,12 @@ def enumerate_contractions(germ: GermSpec, bound=None):
     else:
         weights = [fixed_weights_DE(germ.case, germ.m)]
     records, rejected = [], []
-    for w in weights:
-        try:
-            records.append(build_contraction(germ, w))
-        except SemistabilityViolation as exc:
-            rejected.append((w, exc.witness))
+    for w in weights:  # admissible by construction: each is decided once
+        record = _contraction(germ, w)
+        if record is None:
+            rejected.append((w, min_weight_monomial(w, germ.tg)[0]))
+        else:
+            records.append(record)
     # weights arrive sorted, so a stable sort by lambda orders by (lambda, w0)
     records.sort(key=lambda r: r.lam)
     return records, rejected

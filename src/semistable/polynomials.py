@@ -188,6 +188,7 @@ def valuation_with_weights(weights, h: SparsePoly) -> int | Fraction:
     Exact in the weights as given: integer weights give an int, `Fraction`s
     a `Fraction`.  There is one weight for each of x, y, z, t.
     """
+    weights = tuple(_exact(w) for w in weights)
     if len(weights) != 4:
         raise ValueError(f"expected 4 weights, got {len(weights)}")
     if h.is_zero:

@@ -30,8 +30,8 @@ from .errors import InternalError
 from .lattices import (
     QuotientLattice,
     WeightVector,
+    _exact,
     fibre_quotient,
-    fraction_to_str,
     is_primitive,
     lattice_contains,
     to_vector,
@@ -55,7 +55,7 @@ def hj_expansion(r: int, q: int) -> list[int]:
 def hj_evaluate(entries) -> Fraction:
     """Evaluate [b_1, ..., b_s] back to b_1 - 1/(b_2 - ...) exactly."""
     value = None
-    for b in reversed(list(entries)):
+    for b in reversed([_exact(b, integral=True) for b in entries]):
         value = Fraction(b) if value is None else b - 1 / value
     if value is None:
         raise ValueError("empty expansion")
@@ -214,13 +214,6 @@ class SurfaceCone(_SurfaceConeFields):
     def ray_is_primitive(self, v) -> bool:
         u, w = to_vector(v, 2)
         return is_primitive(QuotientLattice(self.r, self.q), (u, -u, w))
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "q": self.q,
-            "rays": [[fraction_to_str(c) for c in ray] for ray in self.rays],
-        }
 
 
 def toric_subdivide(cone: SurfaceCone, ray) -> tuple[SurfaceCone, SurfaceCone, Fraction]:

@@ -6,7 +6,8 @@ weight enumeration below rechecks every filter on its own; valuations sum
 Fraction weights monomial by monomial; the census oracle asks sympy's
 squarefree factorization and the isolatedness oracle sympy's Groebner basis.
 Slow and dumb on purpose.  `reduced_T_records` draws the random records the
-census and cover properties run on; `poly_product` and `dense_product` build
+census and cover properties run on, `t_power_germs` the germs the
+enumeration property scans; `poly_product` and `dense_product` build
 the products the polynomial tests need, since the library keeps no ring
 product.
 """
@@ -163,6 +164,27 @@ def reduced_T_records(draw, max_n=6, max_k=3):
         g.append({"coeff": "1", "exp": [0, 0, 0, k * e * a3]})
     germ = ss.validate_germ({"n": n, "a": a, "case": "T", "k": k, "g": g})
     return ss.build_contraction(germ, w)
+
+
+@st.composite
+def t_power_germs(draw, max_n=6, max_k=3):
+    """A case-T germ with t*g = sum of c * z^(i*n) * t^l, 0 <= i <= k-1, 1 <= l <= 12.
+
+    The terms are those of `reduced_T_records` with free t-exponents, so a
+    scan to a small bound meets weights on both sides of w(t*g) >= w(f):
+    z^(i*n) * t^l has weight i*e*a3 + l against lambda = k*e*a3.  Terms may
+    tie in weight, which exercises the witness tie rule.
+    """
+    n = draw(st.integers(1, max_n))
+    a = draw(st.sampled_from([a for a in range(n) if gcd(a, n) == 1]))
+    k = draw(st.integers(1, max_k))
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, k - 1), st.integers(1, 12)),
+        st.sampled_from(["1", "-1", "2", "-1/2"]),
+        max_size=6,
+    ))
+    g = [{"coeff": c, "exp": [0, 0, i * n, l - 1]} for (i, l), c in terms.items()]
+    return ss.validate_germ({"n": n, "a": a, "case": "T", "k": k, "g": g})
 
 
 def oracle_isolatedness(germ, t_order=None):

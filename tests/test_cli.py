@@ -61,6 +61,13 @@ def test_classify_non_normal_fibre_display_only(germ_file, capsys):
     assert main(["enumerate", path, "--bound", "2"]) == 2
 
 
+def test_classify_smooth_fibre(germ_file, capsys):
+    assert main(["classify", germ_file({"n": 1, "a": 0, "case": "T", "k": 1, "g": []})]) == 0
+    out = capsys.readouterr().out
+    assert "fibre: cyclic quotient 1/1(1,0)  [smooth]" in out
+    assert "resolution: empty graph (smooth)" in out
+
+
 def test_classify_probe_flag(germ_file, capsys):
     assert main(["classify", germ_file(QUADRIC), "--probe"]) == 0
     assert "isolatedness: verified" in capsys.readouterr().out
@@ -226,6 +233,14 @@ def test_blowup_record(germ_file, capsys):
 
 def test_blowup_rejects_inadmissible_weights(germ_file, capsys):
     assert main(["blowup", germ_file(QUADRIC), "--weights", "1,2,1/2"]) == 2
+    path = germ_file({"n": 5, "a": 2, "case": "T", "k": 1, "g": []})
+    for weights, reason in (
+        ("1,9,2/2", "does not lie in Z^3 + Z*(1/5)(1,-1,2)"),
+        ("3,2,1", "is imprimitive in the extended lattice"),
+    ):
+        capsys.readouterr()
+        assert main(["blowup", path, "--weights", weights]) == 2
+        assert reason in capsys.readouterr().err
 
 
 def test_blowup_rejects_semistability_violation(germ_file, capsys):

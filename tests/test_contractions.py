@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import semistable as ss
 from semistable import SparsePoly, WeightVector
-from oracles import brute_force_weights_T
+from oracles import brute_force_weights_T, t_power_germs
 
 
 def germ_T(n, a, k, g_terms=None, rho_one=False):
@@ -190,6 +191,33 @@ def test_enumerate_contractions():
 
     with pytest.raises(ValueError):
         ss.enumerate_contractions(germ_T(1, 0, 2))
+
+
+# at w0 = (1,3,2), lambda = 4: z*t and t^3 tie at weight 3 (the witness is t^3, the
+# least exponent), and z*t (weight 3) lies below t^5 (the witness is z*t, the least weight)
+TIED = germ_T(1, 0, 2, [{"coeff": "1", "exp": [0, 0, 0, 2]}, {"coeff": "1", "exp": [0, 0, 1, 0]}])
+LOWER = germ_T(1, 0, 2, [{"coeff": "1", "exp": [0, 0, 0, 4]}, {"coeff": "1", "exp": [0, 0, 1, 0]}])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(t_power_germs(), st.integers(1, 4))
+@example(TIED, 3)
+@example(LOWER, 3)
+def test_enumeration_decides_each_weight_as_build_contraction_does(germ, bound):
+    # enumeration trusts its scan; build_contraction checks every weight anew
+    records, rejected = ss.enumerate_contractions(germ, bound)
+    scanned = ss.admissible_weights_T(germ.n, germ.a, germ.k, bound)
+    decided = [r.w0 for r in records] + [w for w, _ in rejected]
+    assert sorted(decided) == sorted(scanned)
+    for record in records:
+        w = record.w0
+        assert record == ss.build_contraction(germ, w)
+        # the discrepancy formula that lambda replaced: sum(w0, 1) - w(f + t*g) - 1
+        assert record.discrepancy == sum(w.fractions) + 1 - ss.valuation(w, germ.equation) - 1
+    for w, witness in rejected:
+        with pytest.raises(ss.SemistabilityViolation) as info:
+            ss.build_contraction(germ, w)
+        assert info.value.witness == witness
 
 
 def test_discrepancy_matches_toric_surface_discrepancy():

@@ -132,6 +132,16 @@ def test_probe_inconclusive_on_product_family():
     assert ss.isolatedness_probe(germ) == "inconclusive"
 
 
+def test_probe_size_guards_are_inconclusive():
+    # xy + z + t*g is smooth, so only the term and degree guards stop "verified"
+    many_terms = [{"coeff": "1", "exp": [0, 0, 0, l]} for l in range(120)]
+    assert ss.isolatedness_probe(ss.validate_germ(raw_T(1, 0, 1, many_terms))) == "inconclusive"
+    high_degree = [{"coeff": "1", "exp": [0, 0, 0, 60]}]
+    assert ss.isolatedness_probe(ss.validate_germ(raw_T(1, 0, 1, high_degree))) == "inconclusive"
+    low_degree = [{"coeff": "1", "exp": [0, 0, 0, 59]}]
+    assert ss.isolatedness_probe(ss.validate_germ(raw_T(1, 0, 1, low_degree))) == "verified"
+
+
 def test_probe_verified_on_E8_with_generic_linear_g():
     raw = {"n": 1, "a": 0, "case": "E8",
            "g": [{"coeff": "1", "exp": [1, 0, 0, 0]},

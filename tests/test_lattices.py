@@ -182,4 +182,14 @@ def test_library_inputs_are_exact():
         ss.WeightVector.from_fractions((0.5, 2.5, 1.5))
     with pytest.raises(TypeError):
         ss.SurfaceCone(4, 1, rays=((1.0, 0), (0, 1)))
+    h = ss.SparsePoly({(1, 1, 0, 0): 1, (0, 0, 2, 0): 1})
+    for weights in ((0.1, 0.2, 0.3, 1), (True, 1, 1, 1)):
+        with pytest.raises(TypeError):
+            ss.valuation_with_weights(weights, h)
+    for entries in ([2.0, 3], [2, True], [Fraction(2), 3]):
+        with pytest.raises(TypeError):
+            ss.hj_evaluate(entries)
+    for bound in (2.5, True, "3"):
+        with pytest.raises(TypeError):
+            ss.admissible_weights_T(2, 1, 1, bound)
     assert ss.lattice_contains(L, (Fraction(1, 2), 5 * Fraction(1, 2), 3 * Fraction(1, 2)))

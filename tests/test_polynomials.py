@@ -7,7 +7,7 @@ import pytest
 
 import semistable as ss
 from semistable import SparsePoly
-from semistable.polynomials import scaled_graded_piece
+from semistable.polynomials import min_weight_monomial, scaled_graded_piece
 from oracles import dense_product, poly_product
 
 W = ss.WeightVector
@@ -29,8 +29,13 @@ def test_valuation_examples():
     assert ss.valuation(W((6, 4, 3)), ss.normal_form("E6")) == 12
     assert ss.valuation(W((15, 10, 6)), ss.normal_form("E8")) == 30
     assert ss.valuation(W((1, 1, 1)), SparsePoly({(0, 0, 0, 7): 1})) == 7
-    with pytest.raises(ss.ZeroPolynomialError):
-        ss.valuation(W((1, 1, 1)), SparsePoly())
+    for zero_valuation in (
+        lambda: ss.valuation(W((1, 1, 1)), SparsePoly()),
+        lambda: ss.valuation_with_weights((1, 1, 1, 1), SparsePoly()),
+        lambda: min_weight_monomial(W((1, 1, 1)), SparsePoly()),
+    ):
+        with pytest.raises(ss.ZeroPolynomialError):
+            zero_valuation()
 
 
 def test_homogeneity_examples():
@@ -40,6 +45,8 @@ def test_homogeneity_examples():
     assert ok and weight == 18
     mixed = SparsePoly({(1, 0, 0, 0): 1, (0, 0, 2, 0): 1})
     assert ss.is_homogeneous(W((1, 1, 1)), mixed) == (False, None)
+    with pytest.raises(ss.ZeroPolynomialError):
+        ss.is_homogeneous(W((1, 1, 1)), SparsePoly())
 
 
 def graded_pieces(w, h):
@@ -166,6 +173,7 @@ def test_poly_arithmetic_and_formatting():
     x = SparsePoly.monomial((1, 0, 0, 0))
     h = poly_product(x, x) + SparsePoly({(0, 0, 1, 0): -2, (0, 0, 0, 0): Fraction(1, 3)})
     assert ss.format_poly(h) == "x^2 - 2*z + 1/3"
+    assert ss.format_poly(SparsePoly({(0, 1, 0, 0): -1, (0, 0, 0, 2): -1})) == "-y - t^2"
     assert (h + SparsePoly({e: -c for e, c in h.items()})).is_zero
     assert ss.format_poly(SparsePoly()) == "0"
 

@@ -217,6 +217,12 @@ def test_unknown_package_name_raises_attribute_error():
         ss.no_such_name
 
 
+def test_submodule_name_imports_on_first_use(monkeypatch):
+    # as if no import had bound the submodule to the package yet
+    monkeypatch.delattr(ss, "polynomials", raising=False)
+    assert ss.polynomials is sys.modules["semistable.polynomials"]
+
+
 CENSUS_NAME_SCRIPTS = {
     "after-subcommands": """
 import contextlib, io, json, sys
