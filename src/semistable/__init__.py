@@ -36,8 +36,7 @@ _EXPORTS = {
     ),
     "lattices": (
         "QuotientLattice", "WeightVector", "fraction_to_str", "is_primitive",
-        "lattice_contains", "mu_n_character", "parse_weight", "weight_in_lattice",
-        "weight_is_primitive",
+        "lattice_contains", "mu_n_character", "parse_weight",
     ),
     "polynomials": (
         "SparsePoly", "format_poly", "is_homogeneous", "is_mu_n_invariant",

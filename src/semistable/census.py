@@ -203,7 +203,6 @@ def _origin(record: ContractionRecord, red: ReducedPerturbation) -> OriginEntry 
     l_fib = red.l_fibre
     if l_fib == 0:
         return None  # c_0 != 0: the chart origin misses the surface
-    germ = record.germ
     a1, _, a3 = record.w0.numerators
     b = (pow(a1, -1, d) * a3) % d
     if gcd(b, d) != 1:
@@ -212,12 +211,12 @@ def _origin(record: ContractionRecord, red: ReducedPerturbation) -> OriginEntry 
     r, q = fibre_quotient(k_prime, n_prime, a_prime)
     l_show = red.l_series if red.l_series is not None else l_fib
     deformation = (
-        f"xy + z^{l_show * germ.n} + t*g(z^{d}, t) = 0  in  (1/{d})(1,-1,{b},0)"
+        f"xy + z^{l_show * red.n} + t*g(z^{d}, t) = 0  in  (1/{d})(1,-1,{b},0)"
     )
     return OriginEntry(
         index=d,
         b=b,
-        z_power=l_fib * germ.n,
+        z_power=l_fib * red.n,
         quotient=(k_prime, n_prime, a_prime),
         r=r,
         q=q,

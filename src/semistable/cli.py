@@ -94,6 +94,7 @@ def _graph_line(graph: DualGraph) -> str:
 
 def cmd_classify(args) -> int:
     from .germs import FibreQuotientData, fibre_singularity, isolatedness_probe
+    from .polynomials import SparsePoly, format_poly
     from .resolution import duval_graph, resolve_cyclic
 
     germ = _load_germ(args.spec)
@@ -102,11 +103,8 @@ def cmd_classify(args) -> int:
         isolatedness_probe(germ, args.trunc_order) if args.probe else "asserted"
     )
     if isinstance(fibre, FibreQuotientData):
-        def power(base, exponent):
-            return "" if exponent == 0 else base if exponent == 1 else f"{base}^{exponent}"
-
         dictionary = ", ".join(
-            f"{name}={power('u', e[0])}{'*' if e[0] and e[1] else ''}{power('v', e[1])}"
+            f"{name}={format_poly(SparsePoly.monomial((*e, 0, 0)), ('u', 'v', '', ''))}"
             for name, e in fibre.dictionary
         )
         label = f"  [{fibre.duval_label}]" if fibre.duval_label else ""

@@ -39,14 +39,13 @@ from typing import NamedTuple
 from .errors import DomainRejection, InternalError, NonAdmissibleWeight, SemistabilityViolation
 from .germs import GermSpec, normal_form
 from .lattices import (
-    QuotientLattice,
     WeightVector,
+    _contains,
     _exact,
+    _primitive,
     divisors,
     fraction_to_str,
     ratio_to_str,
-    weight_in_lattice,
-    weight_is_primitive,
 )
 from .polynomials import (
     SparsePoly,
@@ -59,6 +58,11 @@ from .polynomials import (
 )
 
 
+# Candidate (a1, a3) slots one case-T scan may visit; the 0.5 s runtime gate
+# admissible_weights_T(5, 2, 1, 160) needs at most 61,824 of them.
+_MAX_SCAN = 100_000
+
+
 def admissible_weights_T(n: int, a: int, k: int, bound) -> list[WeightVector]:
     """All admissible case-T weights with max entry (1/d)*a_i <= bound.
 
@@ -68,8 +72,9 @@ def admissible_weights_T(n: int, a: int, k: int, bound) -> list[WeightVector]:
     over the residue class a^(-1)*a3 mod d; coprime candidates that are
     primitive in Z^3 + Z*(1/n)(1,-1,a) are kept.  Exhaustive within the
     bound; sorted lexicographically as rational vectors, through the exact
-    integer key n*(a1, a2, a3)/d.
+    integer key n*(a1, a2, a3)/d.  A scan past _MAX_SCAN raises DomainRejection.
     """
+    n, a, k = (_exact(v, integral=True) for v in (n, a, k))
     if n < 1 or gcd(a, n) != 1:
         raise ValueError(f"invalid quotient data n={n}, a={a}")
     if k < 1:
@@ -77,23 +82,26 @@ def admissible_weights_T(n: int, a: int, k: int, bound) -> list[WeightVector]:
     bound = Fraction(_exact(bound))
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    lattice = QuotientLattice(n, a)
-    found = []
+    scans = []
     for d in divisors(n):
-        e = n // d
         cap = int(d * bound)  # entries a_i <= d*bound
+        scans.append((d, cap, min(cap, 2 * cap // (k * n))))  # k*n*a3 = a1 + a2 <= 2*cap
+    work = sum(rows * (cap // d + 1) for d, cap, rows in scans)
+    if work > _MAX_SCAN:
+        raise DomainRejection(f"bound {bound} spans {work} candidates, over the limit {_MAX_SCAN}")
+    found = []
+    for d, cap, rows in scans:
+        e = n // d
         a_inverse = pow(a, -1, d)
-        for a3 in range(1, cap + 1):
+        for a3 in range(1, rows + 1):
             total = k * n * a3
             low = max(1, total - cap)  # a2 = total - a1 <= cap
             start = low + (a_inverse * a3 - low) % d
             for a1 in range(start, min(cap, total - 1) + 1, d):
                 a2 = total - a1
-                if gcd(a1, a2, a3) != 1:
-                    continue
-                w = WeightVector((a1, a2, a3), d)
-                if weight_is_primitive(lattice, w):
-                    found.append(((e * a1, e * a2, e * a3), w))
+                # gcd(a1, a3) = gcd(a1, a2, a3), as a2 = k*n*a3 - a1
+                if gcd(a1, a3) == 1 and _primitive(n, a, (a1, a2, a3), d):
+                    found.append(((e * a1, e * a2, e * a3), WeightVector((a1, a2, a3), d)))
     found.sort(key=itemgetter(0))
     return [w for _, w in found]
 
@@ -108,7 +116,7 @@ _DE_TABLE = {
 def fixed_weights_DE(case: str, m: int | None = None) -> WeightVector:
     """The unique admissible weight vector for a D or E germ."""
     if case == "D":
-        if m is None or m < 4:
+        if m is None or _exact(m, integral=True) < 4:
             raise ValueError("case D needs m >= 4")
         w = WeightVector((m - 1, m - 2, 2))
     elif case in _DE_TABLE:
@@ -138,10 +146,9 @@ def is_admissible(germ: GermSpec, w0: WeightVector) -> tuple[bool, str | None]:
                 f"f is not homogeneous for {w0}: "
                 f"{a1} + {a2} != {germ.k * germ.n} * {a3}"
             )
-        lattice = germ.weight_lattice
-        if not weight_in_lattice(lattice, w0):
+        if not _contains(germ.n, germ.a, w0.numerators, w0.denominator):
             return False, f"{w0} does not lie in Z^3 + Z*(1/{germ.n})(1,-1,{germ.a})"
-        if not weight_is_primitive(lattice, w0):
+        if not _primitive(germ.n, germ.a, w0.numerators, w0.denominator):
             return False, f"{w0} is imprimitive in the extended lattice"
         return True, None
     expected = fixed_weights_DE(germ.case, germ.m)

@@ -33,7 +33,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import GermRejection, InternalError
-from .lattices import QuotientLattice, fibre_quotient, mu_n_character
+from .lattices import QuotientLattice, _exact, fibre_quotient, mu_n_character
 from .polynomials import SparsePoly, is_mu_n_invariant, poly_from_json, poly_to_json
 
 CASES = ("T", "D", "E6", "E7", "E8", "N")
@@ -47,6 +47,7 @@ _E_FORMS = {
 
 def normal_form(case: str, n: int = 1, k: int | None = None, m: int | None = None) -> SparsePoly:
     """The fibre equation f for the given case, as a 4-variable polynomial."""
+    n, k, m = (v if v is None else _exact(v, integral=True) for v in (n, k, m))
     if case == "T":
         return SparsePoly({(1, 1, 0, 0): 1, (0, 0, k * n, 0): 1})
     if case == "N":
@@ -156,6 +157,9 @@ def validate_germ(raw) -> GermSpec:
     validated germ carries it as asserted.  Idempotent on valid input.
     """
     germ = raw if isinstance(raw, GermSpec) else _parse_raw(raw)
+    for value in (germ.n, germ.a, germ.k, germ.m):  # a GermSpec's too: ints, never bools
+        if value is not None:
+            _exact(value, integral=True)
 
     if germ.n < 1:
         raise GermRejection(f"index n must be positive, got {germ.n}")

@@ -15,16 +15,16 @@ A member m/d is primitive unless m/(d*p) is a member for some prime p; only
 primes dividing gcd(m) or e = n/d can do that, and for a prime p | e not
 dividing gcd(m) it means the same congruences hold mod d*p.  One private
 core (`_contains`, `_primitive`) carries these congruences for rational
-vectors and for `WeightVector`s alike.  No floating point anywhere: inputs
-are `int`s or `Fraction`s, anything else is a TypeError (`_exact`), and the
-rational entry points convert to m/d once.
+vectors and for the integers of each candidate weight.  No floating point:
+inputs are `int`s or `Fraction`s, anything else is a TypeError (`_exact`),
+and the rational entry points convert to m/d once.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .errors import DomainRejection, InternalError
@@ -94,7 +94,9 @@ def prime_factors(m: int) -> list[int]:
 
 
 def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The divisors of n >= 1, ascending, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 class _QuotientLatticeFields(NamedTuple):
@@ -108,6 +110,7 @@ class QuotientLattice(_QuotientLatticeFields):
     __slots__ = ()
 
     def __new__(cls, n: int, a: int):
+        n, a = _exact(n, integral=True), _exact(a, integral=True)
         if n < 1:
             raise ValueError("index n must be a positive integer")
         if gcd(a, n) != 1:
@@ -237,16 +240,6 @@ class WeightVector(_WeightVectorFields):
             "denominator": self.denominator,
             "vector": [ratio_to_str(c, self.denominator) for c in self.numerators],
         }
-
-
-def weight_in_lattice(lattice: QuotientLattice, w: WeightVector) -> bool:
-    return _contains(lattice.n, lattice.a, w.numerators, w.denominator)
-
-
-def weight_is_primitive(lattice: QuotientLattice, w: WeightVector) -> bool:
-    if not _contains(lattice.n, lattice.a, w.numerators, w.denominator):
-        raise ValueError(f"{w.fractions} does not lie in the lattice")
-    return _primitive(lattice.n, lattice.a, w.numerators, w.denominator)
 
 
 def parse_weight(text: str) -> WeightVector:

@@ -7,9 +7,9 @@ stored.  The weight (1/d)(a1, a2, a3) assigns (1/d)(a1*i + a2*j + a3*k) + l
 to the exponent (i, j, k, l); t always weighs 1.  Gradings are computed on
 the scaled weight d*(that) = a1*i + a2*j + a3*k + d*l, an integer, so
 valuation, homogeneity and the graded piece are integer min / filter
-computations.  `valuation` and `is_homogeneous` hand out `Fraction(scaled, d)`
-only at their return; `valuation_with_weights` computes in the number type
-of the weights it is given, so integer weights give an integer.
+computations over one kernel, `_graded`.  `valuation` and `is_homogeneous`
+hand out `Fraction(scaled, d)` only at their return; `valuation_with_weights`
+grades in the number type of the weights it is given (integers give an int).
 """
 
 from __future__ import annotations
@@ -164,17 +164,20 @@ def poly_from_json(data) -> SparsePoly:
 # weighted gradings
 
 
-def scaled_monomial_weight(w: WeightVector, exp) -> int:
-    """d times the weight of the monomial: a1*i + a2*j + a3*k + d*l."""
-    a1, a2, a3 = w.numerators
-    return a1 * exp[0] + a2 * exp[1] + a3 * exp[2] + w.denominator * exp[3]
+def _graded(weights, h: SparsePoly) -> list[tuple[int | Fraction, Exponent]]:
+    """(sum(w_i * e_i), e) for each exponent e of h; a weight passes (a1, a2, a3, d).
+
+    The zero polynomial has no grade (its valuation would be infinite).
+    """
+    if h.is_zero:
+        raise ZeroPolynomialError("the zero polynomial has no weighted monomials")
+    w1, w2, w3, w4 = weights
+    return [(w1 * e[0] + w2 * e[1] + w3 * e[2] + w4 * e[3], e) for e in h._terms]
 
 
 def scaled_valuation(w: WeightVector, h: SparsePoly) -> int:
     """d times the valuation of h: the least scaled monomial weight."""
-    if h.is_zero:
-        raise ZeroPolynomialError("the zero polynomial has infinite valuation")
-    return min(scaled_monomial_weight(w, e) for e in h._terms)
+    return min(grade for grade, _ in _graded((*w.numerators, w.denominator), h))
 
 
 def valuation(w: WeightVector, h: SparsePoly) -> Fraction:
@@ -191,38 +194,27 @@ def valuation_with_weights(weights, h: SparsePoly) -> int | Fraction:
     weights = tuple(_exact(w) for w in weights)
     if len(weights) != 4:
         raise ValueError(f"expected 4 weights, got {len(weights)}")
-    if h.is_zero:
-        raise ZeroPolynomialError("the zero polynomial has infinite valuation")
-    return min(sum(w * e for w, e in zip(weights, exp)) for exp in h._terms)
+    return min(grade for grade, _ in _graded(weights, h))
 
 
 def min_weight_monomial(w: WeightVector, h: SparsePoly) -> tuple[Exponent, Fraction]:
     """A lowest-weight monomial of h (deterministic: smallest exponent tuple wins ties)."""
-    if h.is_zero:
-        raise ZeroPolynomialError("the zero polynomial has no monomials")
-    return min(
-        h._terms.items(),
-        key=lambda item: (scaled_monomial_weight(w, item[0]), item[0]),
-    )
+    _, exp = min(_graded((*w.numerators, w.denominator), h))  # least weight, then exponent
+    return exp, h._terms[exp]
 
 
 def is_homogeneous(w: WeightVector, h: SparsePoly) -> tuple[bool, Fraction | None]:
     """Whether all monomials of h share one weight; returns (True, weight) if so."""
-    if h.is_zero:
-        raise ZeroPolynomialError("homogeneity is undefined for the zero polynomial")
-    values = {scaled_monomial_weight(w, e) for e in h._terms}
+    values = {grade for grade, _ in _graded((*w.numerators, w.denominator), h)}
     if len(values) == 1:
         return True, Fraction(values.pop(), w.denominator)
     return False, None
 
 
 def scaled_graded_piece(w: WeightVector, h: SparsePoly, scaled_value: int) -> SparsePoly:
-    """The graded piece of h of scaled weight scaled_value (possibly zero)."""
-    terms = {
-        e: c for e, c in h._terms.items()
-        if scaled_monomial_weight(w, e) == scaled_value
-    }
-    return SparsePoly(terms)
+    """The graded piece of h (nonzero) of scaled weight scaled_value, possibly zero."""
+    graded = _graded((*w.numerators, w.denominator), h)
+    return SparsePoly({e: h._terms[e] for grade, e in graded if grade == scaled_value})
 
 
 def is_mu_n_invariant(lattice: QuotientLattice, h: SparsePoly) -> bool:

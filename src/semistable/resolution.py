@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .errors import InternalError
+from .errors import DomainRejection, InternalError
 from .lattices import (
     QuotientLattice,
     WeightVector,
@@ -40,12 +40,18 @@ from .lattices import (
 Vector2 = tuple[Fraction, Fraction]
 
 
+_MAX_HJ_LENGTH = 100_000  # 1/r(1, r-1) has r-1 entries; 10^6 took 94 MB on a 2-vCPU Xeon
+
+
 def hj_expansion(r: int, q: int) -> list[int]:
-    """Continued fraction r/q = b_1 - 1/(b_2 - ...) with all b_i >= 2."""
+    """Continued fraction r/q = b_1 - 1/(b_2 - ...), all b_i >= 2, of at most _MAX_HJ_LENGTH."""
+    r, q = _exact(r, integral=True), _exact(q, integral=True)
     if r < 2 or not 1 <= q < r or gcd(q, r) != 1:
         raise ValueError(f"need r >= 2 and 1 <= q < r coprime, got r={r}, q={q}")
     out = []
     while r > 1:
+        if len(out) == _MAX_HJ_LENGTH:
+            raise DomainRejection(f"the resolution has more than {_MAX_HJ_LENGTH} curves")
         b = -(-r // q)  # ceil(r/q)
         out.append(b)
         r, q = q, b * q - r
@@ -100,6 +106,7 @@ class DualGraph(NamedTuple):
 
 def resolve_cyclic(r: int, q: int) -> DualGraph:
     """Dual graph of the minimal resolution of 1/r(1, q); empty when r = 1."""
+    r, q = _exact(r, integral=True), _exact(q, integral=True)
     if r == 1:
         return DualGraph.empty()
     return DualGraph.string(hj_expansion(r, q))
@@ -164,8 +171,8 @@ def _cone_type(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
         raise InternalError("first ray must be primitive")
     alpha = x * v[0] + y * v[1]
     beta = -u[1] * v[0] + u[0] * v[1]
-    if beta == 0:
-        raise ValueError("rays are parallel")
+    if beta == 0:  # toric_subdivide passes a ray strictly inside the cone
+        raise InternalError("rays are parallel")
     beta = abs(beta)  # (a, b) -> (a, -b) fixes (1, 0)
     alpha %= beta
     if beta == 1:
@@ -191,6 +198,7 @@ class SurfaceCone(_SurfaceConeFields):
     __slots__ = ()
 
     def __new__(cls, r: int, q: int, rays=_QUADRANT):
+        r, q = _exact(r, integral=True), _exact(q, integral=True)
         if r < 1:
             raise ValueError("r must be positive")
         normalized_q = q % r if r > 1 else 0
@@ -256,14 +264,15 @@ def toric_subdivide(cone: SurfaceCone, ray) -> tuple[SurfaceCone, SurfaceCone, F
 
 def fibre_cone(k: int, n: int, a: int) -> SurfaceCone:
     """The quadrant cone of the fibre quotient 1/(k*n^2)(1, k*n*a - 1)."""
+    k, n, a = (_exact(v, integral=True) for v in (k, n, a))
     return SurfaceCone(*fibre_quotient(k, n, a))
 
 
 def weight_to_ray(k: int, n: int, w0: WeightVector) -> Vector2:
     """Interior ray on (u, v) matching the blowup weight w0 on (x, y, z)."""
     a1, a2, _ = w0.numerators
-    d = w0.denominator
-    return (Fraction(a1, d * k * n), Fraction(a2, d * k * n))
+    d = w0.denominator * _exact(k, integral=True) * _exact(n, integral=True)
+    return (Fraction(a1, d), Fraction(a2, d))
 
 
 def ray_to_weight(k: int, n: int, ray) -> WeightVector:
@@ -273,6 +282,5 @@ def ray_to_weight(k: int, n: int, ray) -> WeightVector:
     bigger than 1 (such a vector is imprimitive in every ambient lattice).
     """
     alpha = to_vector(ray, 2)
-    return WeightVector.from_fractions(
-        (k * n * alpha[0], k * n * alpha[1], alpha[0] + alpha[1])
-    )
+    kn = _exact(k, integral=True) * _exact(n, integral=True)
+    return WeightVector.from_fractions((kn * alpha[0], kn * alpha[1], alpha[0] + alpha[1]))

@@ -196,6 +196,9 @@ def test_census_refuses_de_cases():
     record = ss.build_contraction(e6, ss.fixed_weights_DE("E6"))
     with pytest.raises(ss.DomainRejection):
         ss.census(record)
+    d4 = ss.validate_germ({"n": 1, "a": 0, "case": "D", "m": 4, "g": []})
+    with pytest.raises(ss.DomainRejection, match="corner templates"):
+        ss.corner_singularities(ss.build_contraction(d4, ss.fixed_weights_DE("D", 4)))
 
 
 def test_index_one_path_reproduces_plain_census():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -121,19 +122,39 @@ def test_closed_stdout_exits_1_without_traceback(germ_file):
     path = germ_file({"n": 5, "a": 2, "case": "T", "k": 1, "g": []})  # ~390 kB of text
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    child = subprocess.Popen(
+    with subprocess.Popen(  # closes both pipes on exit
         [sys.executable, "-m", "semistable.cli", "enumerate", path, "--bound", "40"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    try:
-        assert child.stdout.readline().startswith(b"germ: case T")
-        child.stdout.close()  # the rest no longer fits the pipe, so a write fails
-        err = child.stderr.read()
-        assert child.wait(timeout=60) == 1
-    finally:
-        child.kill()
-        child.wait()
+    ) as child:
+        try:
+            assert child.stdout.readline().startswith(b"germ: case T")
+            child.stdout.close()  # the rest no longer fits the pipe, so a write fails
+            err = child.stderr.read()
+            assert child.wait(timeout=60) == 1
+        finally:
+            child.kill()
+            child.wait()
     assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [(["enumerate", "{germ}", "--bound", "1000000000"], "over the limit 100000"),
+     (["resolve", "1000000001", "1000000000"], "more than 100000 curves")],
+    ids=["enumerate", "resolve"],
+)
+def test_hostile_sizes_exit_2_at_once(germ_file, argv, limit):
+    """Work limits stop a huge bound or quotient before the work starts."""
+    path = germ_file({"n": 1, "a": 0, "case": "T", "k": 1, "g": []})
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    argv = [path if arg == "{germ}" else arg for arg in argv]
+    command = [sys.executable, "-m", "semistable.cli", *argv]
+    start = time.perf_counter()
+    done = subprocess.run(command, capture_output=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 2 and done.stdout == b""
+    assert limit in done.stderr.decode()
+    assert elapsed < 1.0, f"{argv[0]} took {elapsed:.2f}s to exit 2"
 
 
 @pytest.mark.parametrize("error", [ValueError, KeyError])

@@ -39,9 +39,31 @@ def test_enumeration_examples():
     found = {w.fractions for w in ss.admissible_weights_T(2, 1, 2, 2)}
     assert (Fraction(1, 2), Fraction(3, 2), Fraction(1, 2)) in found
 
+    for args, message in (((2, 2, 1, 3), "invalid quotient data"),
+                          ((2, 1, 0, 3), "k must be a positive integer"),
+                          ((2, 1, 1, -1), "bound must be nonnegative")):
+        with pytest.raises(ValueError, match=message):
+            ss.admissible_weights_T(*args)
+
 
 def test_enumeration_bound_zero_is_empty():
     assert ss.admissible_weights_T(1, 0, 2, 0) == []
+    assert ss.admissible_weights_T(10**7 + 1, 1, 1, 0) == []  # divisors run to sqrt(n)
+
+
+def test_scan_work_is_bounded():
+    from semistable.contractions import _MAX_SCAN
+
+    # n = k = 1: rows a3 <= min(B, 2B) = B of B + 1 slots each, so B*(B + 1) candidates
+    largest = max(b for b in range(1000) if b * (b + 1) <= _MAX_SCAN)
+    with pytest.raises(ss.DomainRejection, match=f"over the limit {_MAX_SCAN}"):
+        ss.admissible_weights_T(1, 0, 1, largest + 1)
+    with pytest.raises(ss.DomainRejection):
+        ss.admissible_weights_T(1, 0, 1, 10**9)
+    assert len(ss.admissible_weights_T(1, 0, 1, largest)) > 0
+    # rows stop at 2*cap/(k*n), and never pass cap (a3 is an entry too) when k*n = 1
+    expected = [ss.WeightVector(t) for t in ((1, 1, 2), (1, 2, 3), (2, 1, 3))]
+    assert ss.admissible_weights_T(1, 0, 1, 3) == expected
 
 
 def test_enumeration_is_sorted_and_validated():
@@ -53,8 +75,8 @@ def test_enumeration_is_sorted_and_validated():
         for w in weights:
             a1, a2, a3 = w.numerators
             assert a1 + a2 == k * n * a3
-            assert ss.weight_in_lattice(lattice, w)
-            assert ss.weight_is_primitive(lattice, w)
+            assert ss.lattice_contains(lattice, w.fractions)
+            assert ss.is_primitive(lattice, w.fractions)
             assert max(w.fractions) <= 4
 
 

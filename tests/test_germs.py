@@ -56,6 +56,16 @@ def test_validate_case_parameters():
         ss.validate_germ({"n": 1, "a": 0, "case": "E6", "k": 2, "g": []})
     with pytest.raises(ss.GermRejection):
         ss.validate_germ({"n": 1, "a": 0, "case": "Q", "g": []})
+    with pytest.raises(ValueError, match="unknown case 'Q'"):
+        ss.normal_form("Q")
+    with pytest.raises(ss.GermRejection, match="missing 'n'"):
+        ss.validate_germ({"a": 0, "case": "T", "k": 1, "g": []})
+    with pytest.raises(ss.GermRejection, match="index n must be positive"):
+        ss.validate_germ(raw_T(0, 1, 1))
+    with pytest.raises(ss.GermRejection, match="case E6 takes no parameter m"):
+        ss.validate_germ({"n": 1, "a": 0, "case": "E6", "m": 5, "g": []})
+    with pytest.raises(ss.GermRejection, match="case N takes no parameter m"):
+        ss.validate_germ({"n": 3, "a": 1, "case": "N", "m": 5, "g": []})
     germ = ss.validate_germ({"n": 1, "a": 0, "case": "D", "m": 4, "g": []})
     assert germ.f == SparsePoly({(2, 0, 0, 0): 1, (0, 2, 1, 0): 1, (0, 0, 3, 0): 1})
 

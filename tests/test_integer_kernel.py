@@ -66,10 +66,10 @@ def test_scan_matches_bruteforce(data, k, numerator, denominator):
 def test_weight_checks_match_oracle(data, w):
     n, a = data  # w.denominator need not divide n
     lattice = ss.QuotientLattice(n, a)
-    member = ss.weight_in_lattice(lattice, w)
+    member = ss.lattice_contains(lattice, w.fractions)
     assert member == oracle_contains(n, a, w.fractions)
     if member:
-        assert ss.weight_is_primitive(lattice, w) == oracle_primitive(n, a, w.fractions)
+        assert ss.is_primitive(lattice, w.fractions) == oracle_primitive(n, a, w.fractions)
 
 
 @PROPERTY

@@ -33,6 +33,14 @@ def test_contains_dimension_mismatch():
         ss.lattice_contains(L, (1, 2, 3, 4))
 
 
+def test_divisors_by_trial_division_to_the_square_root():
+    from semistable.lattices import divisors
+
+    for n in range(1, 400):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+    assert divisors(2**40) == [2**i for i in range(41)]
+
+
 def test_invalid_lattice_data():
     with pytest.raises(ValueError):
         ss.QuotientLattice(2, 2)  # gcd(a, n) != 1
@@ -61,6 +69,8 @@ def test_character_examples():
     assert ss.mu_n_character(L2, (0, 0, 2, 0)) == 0
     L5 = ss.QuotientLattice(5, 2)
     assert ss.mu_n_character(L5, (0, 0, 1, 0)) == 2
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        ss.mu_n_character(L5, (0, 0, -1, 0))
 
 
 def test_character_additive():
@@ -140,9 +150,9 @@ def test_weight_from_fractions_round_trip():
 
 def test_weight_lattice_checks():
     L = ss.QuotientLattice(2, 1)
-    assert ss.weight_in_lattice(L, ss.WeightVector((1, 5, 3), 2))
-    assert not ss.weight_in_lattice(L, ss.WeightVector((1, 2, 1), 2))
-    assert ss.weight_is_primitive(L, ss.WeightVector((1, 1, 1), 2))
+    assert ss.lattice_contains(L, ss.WeightVector((1, 5, 3), 2).fractions)
+    assert not ss.lattice_contains(L, ss.WeightVector((1, 2, 1), 2).fractions)
+    assert ss.is_primitive(L, ss.WeightVector((1, 1, 1), 2).fractions)
 
 
 def test_parse_weight():
@@ -192,4 +202,29 @@ def test_library_inputs_are_exact():
     for bound in (2.5, True, "3"):
         with pytest.raises(TypeError):
             ss.admissible_weights_T(2, 1, 1, bound)
+    # quotient data n, a, k, m, r and q: a bool or a float is a TypeError, never 1
+    w = ss.WeightVector((1, 5, 3), 2)
+    entries = (
+        lambda v: ss.QuotientLattice(v, 1), lambda v: ss.QuotientLattice(2, v),
+        lambda v: ss.SurfaceCone(v, 1), lambda v: ss.SurfaceCone(3, v),
+        lambda v: ss.admissible_weights_T(v, 1, 1, 1),
+        lambda v: ss.admissible_weights_T(2, v, 1, 1),
+        lambda v: ss.admissible_weights_T(2, 1, v, 1),
+        lambda v: ss.fibre_cone(v, 2, 1), lambda v: ss.fibre_cone(1, v, 1),
+        lambda v: ss.fibre_cone(1, 2, v),
+        lambda v: ss.normal_form("T", v, 1), lambda v: ss.normal_form("T", 2, v),
+        lambda v: ss.normal_form("D", m=v), lambda v: ss.fixed_weights_DE("D", v),
+        lambda v: ss.resolve_cyclic(v, 0), lambda v: ss.resolve_cyclic(3, v),
+        lambda v: ss.hj_expansion(v, 1), lambda v: ss.hj_expansion(3, v),
+        lambda v: ss.weight_to_ray(v, 2, w), lambda v: ss.weight_to_ray(1, v, w),
+        lambda v: ss.ray_to_weight(v, 2, (1, 1)), lambda v: ss.ray_to_weight(1, v, (1, 1)),
+        *(lambda v, germ=germ, key=key: ss.validate_germ(ss.GermSpec(**{**germ, key: v}))
+          for germ in (dict(n=2, a=1, case="T", k=1, m=None, tg=ss.SparsePoly()),
+                       dict(n=1, a=0, case="D", k=None, m=4, tg=ss.SparsePoly()))
+          for key in ("n", "a", "k", "m") if germ[key] is not None),
+    )
+    for bad in (True, 1.0):
+        for entry in entries:
+            with pytest.raises(TypeError):
+                entry(bad)
     assert ss.lattice_contains(L, (Fraction(1, 2), 5 * Fraction(1, 2), 3 * Fraction(1, 2)))

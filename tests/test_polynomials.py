@@ -167,6 +167,8 @@ def test_poly_json_round_trip():
     data = ss.poly_to_json(h)
     assert {"coeff": "-3/2", "exp": [0, 0, 2, 0]} in data
     assert ss.poly_from_json(data) == h
+    with pytest.raises(TypeError, match="a monomial must be an object"):
+        ss.poly_from_json([1])
 
 
 def test_poly_arithmetic_and_formatting():
@@ -176,6 +178,7 @@ def test_poly_arithmetic_and_formatting():
     assert ss.format_poly(SparsePoly({(0, 1, 0, 0): -1, (0, 0, 0, 2): -1})) == "-y - t^2"
     assert (h + SparsePoly({e: -c for e, c in h.items()})).is_zero
     assert ss.format_poly(SparsePoly()) == "0"
+    assert (SparsePoly() == 0) is False  # NotImplemented for a non-SparsePoly
 
 
 def test_sparse_poly_inputs_are_exact():

@@ -45,6 +45,18 @@ def test_hj_input_validation():
     for r, q in [(1, 1), (4, 0), (4, 4), (4, 2), (6, 3)]:
         with pytest.raises(ValueError):
             ss.hj_expansion(r, q)
+    with pytest.raises(ValueError, match="empty expansion"):
+        ss.hj_evaluate([])
+
+
+def test_hj_expansion_length_is_bounded():
+    from semistable.resolution import _MAX_HJ_LENGTH
+
+    longest = _MAX_HJ_LENGTH + 1  # 1/r(1, r-1) resolves to r-1 curves
+    assert ss.hj_expansion(longest, longest - 1) == [2] * _MAX_HJ_LENGTH
+    for r in (longest + 1, 10**9 + 1):
+        with pytest.raises(ss.DomainRejection, match=str(_MAX_HJ_LENGTH)):
+            ss.hj_expansion(r, r - 1)
 
 
 def test_hj_round_trip_small():
@@ -135,6 +147,8 @@ def test_surface_cone_validation():
         SurfaceCone(4, 2)
     with pytest.raises(ValueError):
         SurfaceCone(2, 1, rays=((1, 1), (2, 2)))
+    with pytest.raises(ValueError, match="r must be positive"):
+        SurfaceCone(0, 0)
 
 
 def test_surface_cone_rejects_rays_off_the_lattice():

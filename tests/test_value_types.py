@@ -188,8 +188,7 @@ PUBLIC_NAMES = [
     "mu_n_character", "normal_form", "parse_weight", "poly_from_json", "poly_to_json",
     "ray_to_weight", "reduced_g_coefficients", "resolve_cyclic",
     "squarefree_multiplicities", "toric_subdivide", "validate_germ", "valuation",
-    "valuation_with_weights", "verify_cover", "weight_in_lattice",
-    "weight_is_primitive", "weight_to_ray",
+    "valuation_with_weights", "verify_cover", "weight_to_ray",
 ]
 
 
