@@ -218,7 +218,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    from .resolution import hj_expansion, resolve_cyclic
+    from .resolution import DualGraph, hj_expansion
 
     try:
         expansion = hj_expansion(args.r, args.q)
@@ -229,7 +229,7 @@ def cmd_resolve(args) -> int:
             "r": args.r,
             "q": args.q,
             "expansion": expansion,
-            "graph": resolve_cyclic(args.r, args.q).to_json(),
+            "graph": DualGraph.string(expansion).to_json(),
         },
         lambda: ["[" + ",".join(str(b) for b in expansion) + "]"],
         args.json,

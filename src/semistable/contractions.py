@@ -21,7 +21,7 @@ lambda = w(f).  `verify_cover` recomputes the left side on the index-one
 cover, and the resolution module matches it to the rank-2 toric picture.
 
 Each weight is decided once, by the private core `_contraction`: lambda,
-the semistability test, the graded piece at lambda - 1 and the record, or
+the semistability test, the graded piece of t*g at lambda and the record, or
 None when w(t*g) < w(f).  Enumeration runs it on the weights the scan
 yields, admissible by construction; `build_contraction` checks admissibility
 first and raises SemistabilityViolation for a None.  All of it runs on
@@ -40,9 +40,8 @@ from .errors import DomainRejection, InternalError, NonAdmissibleWeight, Semista
 from .germs import GermSpec, normal_form
 from .lattices import (
     WeightVector,
-    _contains,
+    _coordinates,
     _exact,
-    _primitive,
     divisors,
     fraction_to_str,
     ratio_to_str,
@@ -69,8 +68,10 @@ def admissible_weights_T(n: int, a: int, k: int, bound) -> list[WeightVector]:
     For every divisor d of n, scans the positive solutions of
     a1 + a2 = k*n*a3 with entries <= d*bound.  Lattice membership of
     (a1, a2, a3)/d is a3 = a*a1 (mod d) once d | a1 + a2, so a1 only runs
-    over the residue class a^(-1)*a3 mod d; coprime candidates that are
-    primitive in Z^3 + Z*(1/n)(1,-1,a) are kept.  Exhaustive within the
+    over the residue class a^(-1)*a3 mod d.  Coprime entries make d the
+    exact denominator, so no weight is found twice, and such a member is
+    primitive iff its lattice coordinates (e*a1, k*e*a3, (a3 - a*a1)/d)
+    (see `lattices._coordinates`) are coprime.  Exhaustive within the
     bound; sorted lexicographically as rational vectors, through the exact
     integer key n*(a1, a2, a3)/d.  A scan past _MAX_SCAN raises DomainRejection.
     """
@@ -100,7 +101,7 @@ def admissible_weights_T(n: int, a: int, k: int, bound) -> list[WeightVector]:
             for a1 in range(start, min(cap, total - 1) + 1, d):
                 a2 = total - a1
                 # gcd(a1, a3) = gcd(a1, a2, a3), as a2 = k*n*a3 - a1
-                if gcd(a1, a3) == 1 and _primitive(n, a, (a1, a2, a3), d):
+                if gcd(a1, a3) == 1 and gcd(e * a1, k * e * a3, (a3 - a * a1) // d) == 1:
                     found.append(((e * a1, e * a2, e * a3), WeightVector((a1, a2, a3), d)))
     found.sort(key=itemgetter(0))
     return [w for _, w in found]
@@ -146,9 +147,10 @@ def is_admissible(germ: GermSpec, w0: WeightVector) -> tuple[bool, str | None]:
                 f"f is not homogeneous for {w0}: "
                 f"{a1} + {a2} != {germ.k * germ.n} * {a3}"
             )
-        if not _contains(germ.n, germ.a, w0.numerators, w0.denominator):
+        coordinates = _coordinates(germ.n, germ.a, w0.numerators, w0.denominator)
+        if coordinates is None:
             return False, f"{w0} does not lie in Z^3 + Z*(1/{germ.n})(1,-1,{germ.a})"
-        if not _primitive(germ.n, germ.a, w0.numerators, w0.denominator):
+        if gcd(*coordinates) != 1:
             return False, f"{w0} is imprimitive in the extended lattice"
         return True, None
     expected = fixed_weights_DE(germ.case, germ.m)
@@ -197,7 +199,7 @@ def _contraction(germ: GermSpec, w0: WeightVector) -> ContractionRecord | None:
     elif scaled_valuation(w0, germ.tg) < lam_scaled:
         return None
     else:
-        piece = scaled_graded_piece(w0, germ.g, lam_scaled - d)  # weight lam - 1
+        piece = scaled_graded_piece(w0, germ.tg, lam_scaled)  # t * g_(lam-1)
     return ContractionRecord(
         germ=germ,
         w0=w0,
@@ -205,7 +207,7 @@ def _contraction(germ: GermSpec, w0: WeightVector) -> ContractionRecord | None:
         # w(f + t*g) = lam, so d*(sum(w0, 1) - w(f + t*g) - 1) = sum(a_i) - d*lam
         discrepancy=Fraction(sum(w0.numerators) - lam_scaled, d),
         ambient=(*w0.numerators, d),
-        E_equation=germ.f + piece.times_t(),
+        E_equation=germ.f + piece,
         semistable_ok=True,
         contraction_status="divisorial-contraction" if germ.rho_one else "pending-rho",
     )

@@ -5,19 +5,18 @@ lattice of monomial valuations on x, y, z (t always weighs 1)
 
     N = Z^3 + Z * (1/n)(1, -1, a),    gcd(a, n) = 1,
 
-a corank-one extension of the integer lattice.  Membership and primitivity
-are decided on integers.  Write a rational vector as m/d with d its exact
-common denominator, so gcd(d, m) = 1.  Then m/d lies in N iff
+a corank-one extension of the integer lattice.  The vectors
 
-    d | n,   m1 + m2 = 0,   m3 = a*m1     (mod d).
+    g = (1/n)(1, -1, a),   e2,   e3
 
-A member m/d is primitive unless m/(d*p) is a member for some prime p; only
-primes dividing gcd(m) or e = n/d can do that, and for a prime p | e not
-dividing gcd(m) it means the same congruences hold mod d*p.  One private
-core (`_contains`, `_primitive`) carries these congruences for rational
-vectors and for the integers of each candidate weight.  No floating point:
-inputs are `int`s or `Fraction`s, anything else is a TypeError (`_exact`),
-and the rational entry points convert to m/d once.
+are a Z-basis of N, since e1 = n*g + e2 - a*e3.  A rational vector v has
+coordinates (n*v1, v1 + v2, v3 - a*v1) in this basis, so v lies in N iff
+they are integers, and a nonzero member is primitive iff they are coprime.
+One private core, `_coordinates`, computes them on the integers of v = m/d.
+The public checks, `is_admissible` and the rank-2 cones of the resolution
+module call it, and the case-T scan takes its closed form on the residue
+class it walks.  No floating point: inputs are `int`s or `Fraction`s,
+anything else is a TypeError (`_exact`).
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ def ratio_to_str(p: int, q: int) -> str:
 
 def fraction_to_str(x: Fraction | int) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    x = Fraction(x)
+    x = Fraction(_exact(x))
     return ratio_to_str(x.numerator, x.denominator)
 
 
@@ -75,22 +74,6 @@ def to_vector(entries, dim: int) -> Vector:
     if len(v) != dim:
         raise ValueError(f"expected a vector of dimension {dim}, got {len(v)}")
     return v
-
-
-def prime_factors(m: int) -> list[int]:
-    """Distinct prime divisors of |m|, by trial division (inputs here are small)."""
-    m = abs(m)
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append(m)
-    return out
 
 
 def divisors(n: int) -> list[int]:
@@ -124,35 +107,18 @@ def _scaled(v: Vector) -> tuple[tuple[int, ...], int]:
     return tuple(c.numerator * (d // c.denominator) for c in v), d
 
 
-def _contains(n: int, a: int, m: tuple[int, ...], d: int) -> bool:
-    """Whether m/d lies in Z^3 + Z*(1/n)(1, -1, a); d is exact for m.
-
-    n*(m/d) must be j*(1, -1, a) mod n; with n = d*e the first slot pins
-    j = e*m1, which leaves the congruences below mod d.
-    """
-    return n % d == 0 and (m[0] + m[1]) % d == 0 and (m[2] - a * m[0]) % d == 0
-
-
-def _primitive(n: int, a: int, m: tuple[int, ...], d: int) -> bool:
-    """Whether the member m/d is primitive: m/(d*p) leaves the lattice for every prime p.
-
-    For p | gcd(m), m/(d*p) is (m/p)/d; otherwise d*p is its exact
-    denominator, which must divide n.  So only primes of gcd(m)*(n/d) count.
-    """
-    content = gcd(*m)
-    for p in prime_factors(content * (n // d)):
-        if content % p == 0:
-            if _contains(n, a, tuple(c // p for c in m), d):
-                return False
-        elif _contains(n, a, m, d * p):
-            return False
-    return True
+def _coordinates(n: int, a: int, m: tuple[int, ...], d: int) -> tuple[int, int, int] | None:
+    """Coordinates of m/d in the basis g = (1/n)(1, -1, a), e2, e3, or None off the lattice."""
+    c1, c2, c3 = n * m[0], m[0] + m[1], m[2] - a * m[0]
+    if c1 % d or c2 % d or c3 % d:
+        return None
+    return c1 // d, c2 // d, c3 // d
 
 
 def lattice_contains(lattice: QuotientLattice, v) -> bool:
     """Whether the rational vector v lies in the lattice."""
     m, d = _scaled(to_vector(v, 3))
-    return _contains(lattice.n, lattice.a, m, d)
+    return _coordinates(lattice.n, lattice.a, m, d) is not None
 
 
 def is_primitive(lattice: QuotientLattice, v) -> bool:
@@ -161,9 +127,10 @@ def is_primitive(lattice: QuotientLattice, v) -> bool:
     m, d = _scaled(v)
     if not any(m):
         raise ValueError("the zero vector is not primitive")
-    if not _contains(lattice.n, lattice.a, m, d):
+    coordinates = _coordinates(lattice.n, lattice.a, m, d)
+    if coordinates is None:
         raise ValueError(f"{v} does not lie in the lattice")
-    return _primitive(lattice.n, lattice.a, m, d)
+    return gcd(*coordinates) == 1
 
 
 def fibre_quotient(k: int, n: int, a: int) -> tuple[int, int]:
@@ -187,7 +154,7 @@ def mu_n_character(lattice: QuotientLattice, exponents) -> int:
     Returns (i - j + a*k) mod n for the exponent (i, j, k, l); the base
     parameter t contributes 0.
     """
-    i, j, k, l = exponents
+    i, j, k, l = (_exact(e, integral=True) for e in exponents)
     if min(i, j, k, l) < 0:
         raise ValueError("exponents must be nonnegative")
     return (i - j + lattice.a * k) % lattice.n

@@ -92,6 +92,7 @@ class SparsePoly:
 
     def t_truncated(self, order: int) -> "SparsePoly":
         """Drop every monomial with t-exponent above `order`."""
+        order = _exact(order, integral=True)
         return SparsePoly({e: c for e, c in self._terms.items() if e[3] <= order})
 
     def __repr__(self) -> str:

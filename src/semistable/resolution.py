@@ -27,15 +27,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import DomainRejection, InternalError
-from .lattices import (
-    QuotientLattice,
-    WeightVector,
-    _exact,
-    fibre_quotient,
-    is_primitive,
-    lattice_contains,
-    to_vector,
-)
+from .lattices import WeightVector, _coordinates, _exact, _scaled, fibre_quotient, to_vector
 
 Vector2 = tuple[Fraction, Fraction]
 
@@ -143,13 +135,21 @@ def duval_graph(label: str) -> DualGraph:
 # rank-2 toric cones over Z^2 + Z*(1/r)(1, q)
 
 
-def _coords2(r: int, q: int, v: Vector2) -> tuple[int, int]:
-    # coordinates in the lattice basis {(1/r)(1, q), (0, 1)}
-    a = r * v[0]
-    b = v[1] - q * v[0]
-    if a.denominator != 1 or b.denominator != 1:
-        raise InternalError(f"{v} has no integer coordinates in the lattice basis")
-    return int(a), int(b)
+def _ray_coordinates(r: int, q: int, v) -> tuple[int, int] | None:
+    """Coordinates of v in the basis (1/r)(1, q), (0, 1), or None off the lattice.
+
+    (u, w) -> (u, -u, w) maps Z^2 + Z*(1/r)(1, q) onto the slice x + y = 0
+    of Z^3 + Z*(1/r)(1, -1, q), where the rank-3 coordinates are
+    (r*u, 0, w - q*u).  The basis change (u, w) -> (r*u, w - q*u) has
+    determinant r > 0, so it keeps orientations and ratios of determinants.
+    """
+    u, w = to_vector(v, 2)
+    coordinates = _coordinates(r, q, *_scaled((u, -u, w)))
+    return None if coordinates is None else (coordinates[0], coordinates[2])
+
+
+def _cross(p: tuple[int, int], s: tuple[int, int]) -> int:
+    return p[0] * s[1] - p[1] * s[0]
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -205,23 +205,24 @@ class SurfaceCone(_SurfaceConeFields):
         if r > 1 and gcd(normalized_q, r) != 1:
             raise ValueError(f"gcd(q, r) must be 1, got q={q}, r={r}")
         rays = tuple(to_vector(ray, 2) for ray in rays)
-        if rays[0][0] * rays[1][1] - rays[0][1] * rays[1][0] == 0:
-            raise ValueError("cone rays must be linearly independent")
-        self = super().__new__(cls, r, normalized_q, rays)
-        for ray in rays:
-            if not (self.contains_ray(ray) and self.ray_is_primitive(ray)):
+        coordinates = [_ray_coordinates(r, normalized_q, ray) for ray in rays]
+        for ray, c in zip(rays, coordinates):
+            if c is None or gcd(*c) != 1:
                 raise ValueError(f"cone ray {ray} is not a primitive lattice vector")
-        return self
+        if _cross(*coordinates) == 0:
+            raise ValueError("cone rays must be linearly independent")
+        return super().__new__(cls, r, normalized_q, rays)
 
-    # (u, v) -> (u, -u, v) maps Z^2 + Z*(1/r)(1, q) onto the plane slice
-    # x + y = 0 of Z^3 + Z*(1/r)(1, -1, q), so the rank-3 checks decide both.
     def contains_ray(self, v) -> bool:
-        u, w = to_vector(v, 2)
-        return lattice_contains(QuotientLattice(self.r, self.q), (u, -u, w))
+        return _ray_coordinates(self.r, self.q, v) is not None
 
     def ray_is_primitive(self, v) -> bool:
-        u, w = to_vector(v, 2)
-        return is_primitive(QuotientLattice(self.r, self.q), (u, -u, w))
+        coordinates = _ray_coordinates(self.r, self.q, v)
+        if coordinates == (0, 0):
+            raise ValueError("the zero vector is not primitive")
+        if coordinates is None:
+            raise ValueError(f"{v} does not lie in the lattice")
+        return gcd(*coordinates) == 1
 
 
 def toric_subdivide(cone: SurfaceCone, ray) -> tuple[SurfaceCone, SurfaceCone, Fraction]:
@@ -232,27 +233,17 @@ def toric_subdivide(cone: SurfaceCone, ray) -> tuple[SurfaceCone, SurfaceCone, F
     boundary generators.
     """
     alpha = to_vector(ray, 2)
-    if not cone.contains_ray(alpha):
+    ca = _ray_coordinates(cone.r, cone.q, alpha)
+    if ca is None:
         raise ValueError(f"{alpha} does not lie in the cone lattice")
-    if not cone.ray_is_primitive(alpha):
+    if gcd(*ca) != 1:
         raise ValueError(f"{alpha} is imprimitive in the cone lattice")
-    u, v = cone.rays
-
-    def cross(p, s):
-        return p[0] * s[1] - p[1] * s[0]
-
-    orientation = cross(u, v)
-    if not (cross(u, alpha) * orientation > 0 and cross(alpha, v) * orientation > 0):
+    cu, cv = (_ray_coordinates(cone.r, cone.q, ray) for ray in cone.rays)
+    orientation = _cross(cu, cv)
+    if not (_cross(cu, ca) * orientation > 0 and _cross(ca, cv) * orientation > 0):
         raise ValueError(f"{alpha} is not strictly inside the cone")
-
-    det = orientation
-    p1 = (v[1] - u[1]) / det
-    p2 = (u[0] - v[0]) / det
-    f_discrepancy = p1 * alpha[0] + p2 * alpha[1] - 1
-
-    cu = _coords2(cone.r, cone.q, u)
-    cv = _coords2(cone.r, cone.q, v)
-    ca = _coords2(cone.r, cone.q, alpha)
+    # alpha = s*u + t*v with s + t = psi(alpha), by Cramer's rule
+    f_discrepancy = Fraction(_cross(ca, cv) + _cross(cu, ca), orientation) - 1
     left = SurfaceCone(*_cone_type(cu, ca))
     right = SurfaceCone(*_cone_type(ca, cv))
     return left, right, f_discrepancy

@@ -70,7 +70,6 @@ ALLOWED: dict[str, dict[str, str]] = {
         'raise InternalError(f"fibre quotient 1/{r}(1,{q}) is not normalized")': INVARIANT,
     },
     "resolution.py": {
-        'raise InternalError(f"{v} has no integer coordinates in the lattice basis")': INVARIANT,
         'raise InternalError("first ray must be primitive")': INVARIANT,
         'raise InternalError("rays are parallel")': INVARIANT,
         'raise InternalError(f"cone type 1/{beta}(1,{q_prime}) is not normalized")': INVARIANT,

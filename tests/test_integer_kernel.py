@@ -1,10 +1,15 @@
 """The integer kernel against the brute-force oracles.
 
-Lattice membership and primitivity run on integer congruences, the case-T
-scan walks one residue class per a3, and valuations compare scaled integer
-weights.  Each is checked here against the slow Fraction reference in
-oracles.py: fixed configs with d > 1 and composite e = n/d, then random
-inputs drawn by hypothesis.
+Lattice membership and primitivity read the coordinates of a vector in the
+basis (1/n)(1, -1, a), e2, e3 of Z^3 + Z*(1/n)(1, -1, a): a member has
+integer coordinates, and a primitive one coprime coordinates.  The case-T
+scan walks one residue class per a3 and takes the gcd of a candidate's
+coordinates, and valuations compare scaled integer weights.  Each is
+checked here against the slow Fraction reference in oracles.py, which
+scans residues and tries primes instead: fixed configs with d > 1 and
+composite e = n/d, then random inputs drawn by hypothesis, with n up to 12
+and, for membership and primitivity, also 25, 49, 64 and 97 (large prime
+and prime-power factors).
 """
 
 import time
@@ -22,8 +27,8 @@ PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def quotient_data(draw, max_n=12):
-    n = draw(st.integers(1, max_n))
+def quotient_data(draw, indices=st.integers(1, 12) | st.sampled_from([25, 49, 64, 97])):
+    n = draw(indices)
     a = draw(st.sampled_from([a for a in range(n) if gcd(a, n) == 1]))
     return n, a
 
@@ -34,8 +39,10 @@ def weights(max_entry=24, max_d=15):
 
 
 def test_composite_cofactor_configs_match_bruteforce():
-    # e = n/d runs over 1, 2, 3, 4, 5, 6, 9 and 12 across these, squares included
-    for n, a, k, bound in [(12, 5, 1, 6), (30, 7, 1, 4), (36, 5, 1, 6)]:
+    # e = n/d runs over 1, 2, 3, 4, 5, 6, 7, 9 and 12 across these, squares
+    # included, and n = 25, 49, 64 are prime powers
+    for n, a, k, bound in [(12, 5, 1, 6), (30, 7, 1, 4), (36, 5, 1, 6),
+                           (25, 7, 1, 4), (49, 3, 1, 4), (64, 5, 1, 3)]:
         found = ss.admissible_weights_T(n, a, k, bound)
         assert {w.fractions for w in found} == brute_force_weights_T(n, a, k, bound)
         assert any(w.denominator > 1 and n // w.denominator > 1 for w in found)
@@ -51,7 +58,7 @@ def test_fraction_bound_matches_bruteforce():
 
 
 @PROPERTY
-@given(quotient_data(), st.integers(1, 3), st.integers(0, 8), st.integers(1, 3))
+@given(quotient_data(st.integers(1, 12)), st.integers(1, 3), st.integers(0, 8), st.integers(1, 3))
 def test_scan_matches_bruteforce(data, k, numerator, denominator):
     n, a = data
     bound = Fraction(numerator, denominator)

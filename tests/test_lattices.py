@@ -202,6 +202,19 @@ def test_library_inputs_are_exact():
     for bound in (2.5, True, "3"):
         with pytest.raises(TypeError):
             ss.admissible_weights_T(2, 1, 1, bound)
+    for exponents in ((1.0, 0, 0, 0), (True, 0, 0, 0), (0, 0, 0, Fraction(1))):
+        with pytest.raises(TypeError):
+            ss.mu_n_character(L, exponents)
+    for x in (0.5, True, "1/2"):
+        with pytest.raises(TypeError):
+            ss.fraction_to_str(x)
+    germ = ss.validate_germ({"n": 2, "a": 1, "case": "T", "k": 1,
+                             "g": [{"coeff": "1", "exp": [0, 0, 0, 1]}]})
+    for order in (1.5, True, Fraction(1)):
+        with pytest.raises(TypeError):
+            germ.tg.t_truncated(order)
+        with pytest.raises(TypeError):
+            ss.isolatedness_probe(germ, order)
     # quotient data n, a, k, m, r and q: a bool or a float is a TypeError, never 1
     w = ss.WeightVector((1, 5, 3), 2)
     entries = (

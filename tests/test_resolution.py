@@ -156,9 +156,18 @@ def test_surface_cone_rejects_rays_off_the_lattice():
         SurfaceCone(4, 1, rays=((Fraction(1, 3), 0), (0, 1)))  # not a member
     with pytest.raises(ValueError):
         SurfaceCone(1, 0, rays=((2, 0), (0, 1)))  # imprimitive
+    with pytest.raises(ValueError, match="linearly independent"):
+        SurfaceCone(1, 0, rays=((1, 0), (-1, 0)))
+    cone = SurfaceCone(4, 1)
+    with pytest.raises(ValueError, match="zero vector"):
+        cone.ray_is_primitive((0, 0))
+    with pytest.raises(ValueError, match="does not lie in the lattice"):
+        cone.ray_is_primitive((Fraction(1, 3), 0))
 
 
-@pytest.mark.parametrize("r,q", [(1, 0), (2, 1), (4, 1), (5, 2), (6, 5), (7, 3), (9, 2), (12, 5)])
+@pytest.mark.parametrize(
+    "r,q", [(1, 0), (2, 1), (4, 1), (5, 2), (6, 5), (7, 3), (9, 2), (12, 5), (25, 7)]
+)
 def test_cone_lattice_checks_match_oracle(r, q):
     cone = SurfaceCone(r, q)
     for den in sorted({1, 2, r, 2 * r}):
@@ -193,6 +202,11 @@ def test_subdivide_quadrant_examples():
     assert (left.r, left.q) == (5, 1)
     assert (right.r, right.q) == (1, 0)
     assert F == Fraction(1, 2)
+
+    # clockwise rays: psi is still 1 on both
+    left, right, F = ss.toric_subdivide(SurfaceCone(1, 0, rays=((0, 1), (1, 0))), (1, 2))
+    assert (left.r, right.r) == (1, 2)
+    assert F == 2
 
 
 def test_subdivide_rejects_bad_rays():
