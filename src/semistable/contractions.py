@@ -71,9 +71,10 @@ def admissible_weights_T(n: int, a: int, k: int, bound) -> list[WeightVector]:
     over the residue class a^(-1)*a3 mod d.  Coprime entries make d the
     exact denominator, so no weight is found twice, and such a member is
     primitive iff its lattice coordinates (e*a1, k*e*a3, (a3 - a*a1)/d)
-    (see `lattices._coordinates`) are coprime.  Exhaustive within the
-    bound; sorted lexicographically as rational vectors, through the exact
-    integer key n*(a1, a2, a3)/d.  A scan past _MAX_SCAN raises DomainRejection.
+    (see `lattices._coordinates`) are coprime, i.e. iff
+    gcd(e, (a3 - a*a1)/d) = 1.  Exhaustive within the bound; sorted
+    lexicographically as rational vectors, through the exact integer key
+    n*(a1, a2, a3)/d.  A scan past _MAX_SCAN raises DomainRejection.
     """
     n, a, k = (_exact(v, integral=True) for v in (n, a, k))
     if n < 1 or gcd(a, n) != 1:
@@ -100,8 +101,10 @@ def admissible_weights_T(n: int, a: int, k: int, bound) -> list[WeightVector]:
             start = low + (a_inverse * a3 - low) % d
             for a1 in range(start, min(cap, total - 1) + 1, d):
                 a2 = total - a1
-                # gcd(a1, a3) = gcd(a1, a2, a3), as a2 = k*n*a3 - a1
-                if gcd(a1, a3) == 1 and gcd(e * a1, k * e * a3, (a3 - a * a1) // d) == 1:
+                # gcd(a1, a3) = gcd(a1, a2, a3), as a2 = k*n*a3 - a1.  Then the
+                # coordinates (e*a1, k*e*a3, c3) are coprime iff gcd(e, c3) = 1:
+                # a prime dividing a1 and c3 = (a3 - a*a1)/d also divides a3.
+                if gcd(a1, a3) == 1 and gcd(e, (a3 - a * a1) // d) == 1:
                     found.append(((e * a1, e * a2, e * a3), WeightVector((a1, a2, a3), d)))
     found.sort(key=itemgetter(0))
     return [w for _, w in found]

@@ -10,9 +10,10 @@ and E configurations exactly one curve meets three others (the fork).
 
 A fibre quotient A^2/(1/r)(1, q) is the toric surface of the quadrant cone
 in N = Z^2 + Z*(1/r)(1, q).  Inserting a primitive interior ray alpha splits
-the quadrant in two subcones, each again a cyclic quotient, and the inserted
-divisor F has discrepancy psi(alpha) - 1 for the linear form psi that is 1
-on both boundary ray generators.
+the quadrant in two subcones, each again a cyclic quotient whose type is a
+closed form in the lattice coordinates of alpha, and the inserted divisor F
+has discrepancy alpha_1 + alpha_2 - 1, as psi = u + v is 1 on both boundary
+ray generators.
 
 The cone of a case-T fibre is 1/(k*n^2)(1, k*n*a - 1), and blowup weights on
 x, y, z match interior rays on u, v through x = u^(k*n), y = v^(k*n),
@@ -22,11 +23,12 @@ k*n*alpha_2, alpha_1 + alpha_2).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .errors import DomainRejection, InternalError
+from .errors import DomainRejection
 from .lattices import WeightVector, _coordinates, _exact, _scaled, fibre_quotient, to_vector
 
 Vector2 = tuple[Fraction, Fraction]
@@ -54,6 +56,8 @@ def hj_evaluate(entries) -> Fraction:
     """Evaluate [b_1, ..., b_s] back to b_1 - 1/(b_2 - ...) exactly."""
     value = None
     for b in reversed([_exact(b, integral=True) for b in entries]):
+        if value == 0:
+            raise ValueError("a partial denominator is zero")
         value = Fraction(b) if value is None else b - 1 / value
     if value is None:
         raise ValueError("empty expansion")
@@ -104,17 +108,17 @@ def resolve_cyclic(r: int, q: int) -> DualGraph:
     return DualGraph.string(hj_expansion(r, q))
 
 
+_DUVAL_AD = re.compile("([AD])([1-9][0-9]*)")
 _DUVAL_LEGS = {"E6": (1, 2, 2), "E7": (1, 2, 3), "E8": (1, 2, 4)}
 
 
 def duval_graph(label: str) -> DualGraph:
     """The A/D/E tree of (-2)-curves; D and E graphs carry their fork marker."""
-    kind, index = label[0], label[1:]
-    if kind == "A" and index.isdigit() and int(index) >= 1:
-        n = int(index)
-        return DualGraph.string([2] * n)
-    if kind == "D" and index.isdigit() and int(index) >= 4:
-        legs = (1, 1, int(index) - 3)
+    match = _DUVAL_AD.fullmatch(label)
+    if match and match[1] == "A":
+        return DualGraph.string([2] * int(match[2]))
+    if match and int(match[2]) >= 4:
+        legs = (1, 1, int(match[2]) - 3)
     elif label in _DUVAL_LEGS:
         legs = _DUVAL_LEGS[label]
     else:
@@ -140,78 +144,31 @@ def _ray_coordinates(r: int, q: int, v) -> tuple[int, int] | None:
 
     (u, w) -> (u, -u, w) maps Z^2 + Z*(1/r)(1, q) onto the slice x + y = 0
     of Z^3 + Z*(1/r)(1, -1, q), where the rank-3 coordinates are
-    (r*u, 0, w - q*u).  The basis change (u, w) -> (r*u, w - q*u) has
-    determinant r > 0, so it keeps orientations and ratios of determinants.
+    (r*u, 0, w - q*u).
     """
     u, w = to_vector(v, 2)
     coordinates = _coordinates(r, q, *_scaled((u, -u, w)))
     return None if coordinates is None else (coordinates[0], coordinates[2])
 
 
-def _cross(p: tuple[int, int], s: tuple[int, int]) -> int:
-    return p[0] * s[1] - p[1] * s[0]
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        quot = a // b
-        a, b = b, a - quot * b
-        x0, x1 = x1, x0 - quot * x1
-        y0, y1 = y1, y0 - quot * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
-def _cone_type(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    """Normalize the cone spanned by primitive u, v (integer coordinates) to 1/r'(1, q')."""
-    g, x, y = _ext_gcd(u[0], u[1])
-    if g != 1:
-        raise InternalError("first ray must be primitive")
-    alpha = x * v[0] + y * v[1]
-    beta = -u[1] * v[0] + u[0] * v[1]
-    if beta == 0:  # toric_subdivide passes a ray strictly inside the cone
-        raise InternalError("rays are parallel")
-    beta = abs(beta)  # (a, b) -> (a, -b) fixes (1, 0)
-    alpha %= beta
-    if beta == 1:
-        return 1, 0
-    q_prime = (beta - alpha) % beta
-    if not (1 <= q_prime < beta and gcd(q_prime, beta) == 1):
-        raise InternalError(f"cone type 1/{beta}(1,{q_prime}) is not normalized")
-    return beta, q_prime
-
-
-_QUADRANT = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-
-
 class _SurfaceConeFields(NamedTuple):
     r: int
     q: int
-    rays: tuple[Vector2, Vector2]
 
 
 class SurfaceCone(_SurfaceConeFields):
-    """A 2-dimensional cone in Z^2 + Z*(1/r)(1, q); defaults to the quadrant."""
+    """The quadrant cone in Z^2 + Z*(1/r)(1, q), i.e. the cyclic quotient 1/r(1, q)."""
 
     __slots__ = ()
 
-    def __new__(cls, r: int, q: int, rays=_QUADRANT):
+    def __new__(cls, r: int, q: int):
         r, q = _exact(r, integral=True), _exact(q, integral=True)
         if r < 1:
             raise ValueError("r must be positive")
         normalized_q = q % r if r > 1 else 0
         if r > 1 and gcd(normalized_q, r) != 1:
             raise ValueError(f"gcd(q, r) must be 1, got q={q}, r={r}")
-        rays = tuple(to_vector(ray, 2) for ray in rays)
-        coordinates = [_ray_coordinates(r, normalized_q, ray) for ray in rays]
-        for ray, c in zip(rays, coordinates):
-            if c is None or gcd(*c) != 1:
-                raise ValueError(f"cone ray {ray} is not a primitive lattice vector")
-        if _cross(*coordinates) == 0:
-            raise ValueError("cone rays must be linearly independent")
-        return super().__new__(cls, r, normalized_q, rays)
+        return super().__new__(cls, r, normalized_q)
 
     def contains_ray(self, v) -> bool:
         return _ray_coordinates(self.r, self.q, v) is not None
@@ -226,27 +183,30 @@ class SurfaceCone(_SurfaceConeFields):
 
 
 def toric_subdivide(cone: SurfaceCone, ray) -> tuple[SurfaceCone, SurfaceCone, Fraction]:
-    """Split the cone at a primitive interior ray.
+    """Split the quadrant at a primitive interior ray alpha.
 
-    Returns the two subcones as normalized quotient types 1/r'(1, q') and the
-    discrepancy psi(ray) - 1 of the inserted divisor, psi being 1 on both
-    boundary generators.
+    Returns the left cone <(1, 0), alpha> and the right cone <alpha, (0, 1)>
+    as normalized quotient types, and the discrepancy psi(alpha) - 1 of the
+    inserted divisor, psi = u + v being 1 on both boundary generators.  A
+    cone <u, v> has type 1/R(1, Q) when (Q*u + v)/R lies in the lattice.
+    With alpha = A*(1/r)(1, q) + B*(0, 1), the right cone has R = A and
+    Q = -B^(-1) mod A.  Swapping the axes maps the lattice onto
+    Z^2 + Z*(1/r)(1, q^(-1)) and the left cone onto the right cone of
+    (alpha_2, alpha_1) with its rays reversed, which inverts Q.
     """
     alpha = to_vector(ray, 2)
-    ca = _ray_coordinates(cone.r, cone.q, alpha)
-    if ca is None:
+    coordinates = _ray_coordinates(cone.r, cone.q, alpha)
+    if coordinates is None:
         raise ValueError(f"{alpha} does not lie in the cone lattice")
-    if gcd(*ca) != 1:
+    if gcd(*coordinates) != 1:
         raise ValueError(f"{alpha} is imprimitive in the cone lattice")
-    cu, cv = (_ray_coordinates(cone.r, cone.q, ray) for ray in cone.rays)
-    orientation = _cross(cu, cv)
-    if not (_cross(cu, ca) * orientation > 0 and _cross(ca, cv) * orientation > 0):
+    if not (alpha[0] > 0 and alpha[1] > 0):
         raise ValueError(f"{alpha} is not strictly inside the cone")
-    # alpha = s*u + t*v with s + t = psi(alpha), by Cramer's rule
-    f_discrepancy = Fraction(_cross(ca, cv) + _cross(cu, ca), orientation) - 1
-    left = SurfaceCone(*_cone_type(cu, ca))
-    right = SurfaceCone(*_cone_type(ca, cv))
-    return left, right, f_discrepancy
+    index, b = coordinates
+    mirror_index, mirror_b = _ray_coordinates(cone.r, pow(cone.q, -1, cone.r), alpha[::-1])
+    left = SurfaceCone(mirror_index, -mirror_b)
+    right = SurfaceCone(index, pow(-b, -1, index))
+    return left, right, alpha[0] + alpha[1] - 1
 
 
 # ----------------------------------------------------------------------------

@@ -69,11 +69,6 @@ ALLOWED: dict[str, dict[str, str]] = {
     "lattices.py": {
         'raise InternalError(f"fibre quotient 1/{r}(1,{q}) is not normalized")': INVARIANT,
     },
-    "resolution.py": {
-        'raise InternalError("first ray must be primitive")': INVARIANT,
-        'raise InternalError("rays are parallel")': INVARIANT,
-        'raise InternalError(f"cone type 1/{beta}(1,{q_prime}) is not normalized")': INVARIANT,
-    },
 }
 
 

@@ -1,6 +1,7 @@
 """Brute-force reference implementations, independent of the library's fast paths.
 
-Membership scans every residue j instead of solving the congruence chain;
+Membership scans every residue j instead of solving the congruence chain,
+and a cone's quotient type tries every residue Q instead of a closed form;
 primitivity tries a fixed prime list instead of factoring the content; the
 weight enumeration below rechecks every filter on its own; valuations sum
 Fraction weights monomial by monomial; the census oracle asks sympy's
@@ -51,6 +52,23 @@ def oracle_contains2(r, q, v):
         and (Fraction(v[1]) - Fraction(j * q, r)).denominator == 1
         for j in range(r)
     )
+
+
+def oracle_cone_type(r, q, u, v):
+    """The type 1/R(1, Q) of the cone <u, v> in Z^2 + Z*(1/r)(1, q).
+
+    R = r*|det(u, v)| is the index of Z*u + Z*v in the lattice, and Q is
+    the one residue 0 <= Q < R for which (Q*u + v)/R lies in the lattice,
+    found by trying every Q.
+    """
+    u, v = tuple(map(Fraction, u)), tuple(map(Fraction, v))
+    index = r * abs(u[0] * v[1] - u[1] * v[0])
+    assert index.denominator == 1 and index > 0, "rays must be independent lattice vectors"
+    R = int(index)
+    found = [Q for Q in range(R)
+             if oracle_contains2(r, q, ((Q * u[0] + v[0]) / R, (Q * u[1] + v[1]) / R))]
+    assert len(found) == 1, f"no unique Q for {u}, {v}: {found}"
+    return R, found[0]
 
 
 def brute_force_weights_T(n, a, k, bound):

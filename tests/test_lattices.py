@@ -190,8 +190,6 @@ def test_library_inputs_are_exact():
             ss.WeightVector(numerators, denominator)
     with pytest.raises(TypeError):
         ss.WeightVector.from_fractions((0.5, 2.5, 1.5))
-    with pytest.raises(TypeError):
-        ss.SurfaceCone(4, 1, rays=((1.0, 0), (0, 1)))
     h = ss.SparsePoly({(1, 1, 0, 0): 1, (0, 0, 2, 0): 1})
     for weights in ((0.1, 0.2, 0.3, 1), (True, 1, 1, 1)):
         with pytest.raises(TypeError):

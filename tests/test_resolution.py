@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semistable as ss
-from oracles import PRIMES, oracle_contains2
+from oracles import PRIMES, oracle_cone_type, oracle_contains2
 from semistable import SurfaceCone
 
 
@@ -47,6 +46,10 @@ def test_hj_input_validation():
             ss.hj_expansion(r, q)
     with pytest.raises(ValueError, match="empty expansion"):
         ss.hj_evaluate([])
+    for entries in ([2, 1, 1], [2, 0], [4, 2, 0], [5, 2, 1, 1]):  # a partial denominator is 0
+        with pytest.raises(ValueError, match="partial denominator"):
+            ss.hj_evaluate(entries)
+    assert ss.hj_evaluate([1, 1]) == 0
 
 
 def test_hj_expansion_length_is_bounded():
@@ -135,7 +138,9 @@ def test_duval_graph_leg_lengths():
 
 
 def test_duval_graph_rejects_unknown_labels():
-    for label in ["B2", "D3", "E9", "A0", "foo"]:
+    # the index is ASCII [1-9][0-9]*: no other script's digits, no leading zero
+    for label in ["B2", "D3", "E9", "A0", "foo", "", "A", "A\uff13", "D\u0664", "A01", "D04",
+                  "A-1", "A+1", "A 3", "E6 "]:
         with pytest.raises(ValueError):
             ss.duval_graph(label)
 
@@ -145,19 +150,11 @@ def test_surface_cone_validation():
     assert cone.q == 1  # normalized mod r
     with pytest.raises(ValueError):
         SurfaceCone(4, 2)
-    with pytest.raises(ValueError):
-        SurfaceCone(2, 1, rays=((1, 1), (2, 2)))
     with pytest.raises(ValueError, match="r must be positive"):
         SurfaceCone(0, 0)
 
 
 def test_surface_cone_rejects_rays_off_the_lattice():
-    with pytest.raises(ValueError):
-        SurfaceCone(4, 1, rays=((Fraction(1, 3), 0), (0, 1)))  # not a member
-    with pytest.raises(ValueError):
-        SurfaceCone(1, 0, rays=((2, 0), (0, 1)))  # imprimitive
-    with pytest.raises(ValueError, match="linearly independent"):
-        SurfaceCone(1, 0, rays=((1, 0), (-1, 0)))
     cone = SurfaceCone(4, 1)
     with pytest.raises(ValueError, match="zero vector"):
         cone.ray_is_primitive((0, 0))
@@ -203,20 +200,22 @@ def test_subdivide_quadrant_examples():
     assert (right.r, right.q) == (1, 0)
     assert F == Fraction(1, 2)
 
-    # clockwise rays: psi is still 1 on both
-    left, right, F = ss.toric_subdivide(SurfaceCone(1, 0, rays=((0, 1), (1, 0))), (1, 2))
-    assert (left.r, right.r) == (1, 2)
+    left, right, F = ss.toric_subdivide(SurfaceCone(1, 0), (1, 2))
+    assert (left.r, right.r) == (2, 1)
     assert F == 2
 
 
 def test_subdivide_rejects_bad_rays():
     cone = SurfaceCone(4, 1)
-    with pytest.raises(ValueError):
-        ss.toric_subdivide(cone, (1, 0))  # boundary
-    with pytest.raises(ValueError):
-        ss.toric_subdivide(cone, (Fraction(1, 2), Fraction(1, 2)))  # imprimitive
-    with pytest.raises(ValueError):
-        ss.toric_subdivide(cone, (Fraction(1, 3), Fraction(1, 3)))  # not in lattice
+    quarter = Fraction(1, 4)
+    for ray in [(1, 0), (0, 1), (-quarter, -quarter), (-quarter, 7 * quarter),
+                (5 * quarter, -3 * quarter)]:  # on the boundary or outside the cone
+        with pytest.raises(ValueError, match="not strictly inside"):
+            ss.toric_subdivide(cone, ray)
+    with pytest.raises(ValueError, match="imprimitive"):
+        ss.toric_subdivide(cone, (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(ValueError, match="does not lie"):
+        ss.toric_subdivide(cone, (Fraction(1, 3), Fraction(1, 3)))
 
 
 def test_subcone_index_matches_determinant_oracle():
@@ -241,32 +240,21 @@ def test_subcone_index_matches_determinant_oracle():
                 assert det_right == right.r
 
 
-def test_cone_type_is_gl2_invariant_on_integer_lattice():
-    rng = random.Random(13)
-    for _ in range(40):
-        # a random unimodular matrix built from shears and a swap
-        m = ((1, 0), (0, 1))
-        for _ in range(4):
-            s = rng.randrange(-3, 4)
-            if rng.random() < 0.5:
-                m = ((m[0][0] + s * m[1][0], m[0][1] + s * m[1][1]), m[1])
-            else:
-                m = (m[0], (m[1][0] + s * m[0][0], m[1][1] + s * m[0][1]))
-        ray = (2, 3)  # interior of the first quadrant, primitive
-        base = ss.toric_subdivide(SurfaceCone(1, 0), ray)
-
-        def apply(v):
-            return (
-                m[0][0] * v[0] + m[0][1] * v[1],
-                m[1][0] * v[0] + m[1][1] * v[1],
-            )
-
-        rays = (apply((1, 0)), apply((0, 1)))
-        cone = SurfaceCone(1, 0, rays=rays)
-        moved = ss.toric_subdivide(cone, apply(ray))
-        assert (moved[0].r, moved[0].q) == (base[0].r, base[0].q)
-        assert (moved[1].r, moved[1].q) == (base[1].r, base[1].q)
-        assert moved[2] == base[2]
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7, 9, 12, 16, 25])
+def test_subdivision_matches_cone_type_oracle(r):
+    # both pieces are the oracle's types of <(1, 0), alpha> and <alpha, (0, 1)>
+    for q in (q for q in range(r) if gcd(q, r) == 1):
+        cone = SurfaceCone(r, q)
+        for den in sorted({1, r}):
+            for p1 in range(1, den + 2):
+                for p2 in range(1, den + 2):
+                    ray = (Fraction(p1, den), Fraction(p2, den))
+                    if not (cone.contains_ray(ray) and cone.ray_is_primitive(ray)):
+                        continue
+                    left, right, F = ss.toric_subdivide(cone, ray)
+                    assert tuple(left) == oracle_cone_type(r, q, (1, 0), ray), ray
+                    assert tuple(right) == oracle_cone_type(r, q, ray, (0, 1)), ray
+                    assert F == ray[0] + ray[1] - 1
 
 
 def test_fibre_cone_matches_fibre_singularity():

@@ -42,8 +42,7 @@ CASES = {
     ),
     "SurfaceCone": (
         lambda: ss.SurfaceCone(5, 7),
-        "SurfaceCone(r=5, q=2, rays=((Fraction(1, 1), Fraction(0, 1)), "
-        "(Fraction(0, 1), Fraction(1, 1))))",
+        "SurfaceCone(r=5, q=2)",
     ),
     "GermSpec": (lambda: ss.validate_germ(QUADRIC), GERM_REPR),
     "FibreQuotientData": (
