@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "census": (
         "CornerEntry", "InteriorEntry", "OriginEntry", "ReducedPerturbation",
-        "SingularityCensus", "census", "corner_singularities", "reduced_g_coefficients",
+        "SingularityCensus", "census", "reduced_g_coefficients",
     ),
     "contractions": (
         "ContractionRecord", "admissible_weights_T", "build_contraction",
@@ -39,9 +39,8 @@ _EXPORTS = {
         "lattice_contains", "mu_n_character", "parse_weight",
     ),
     "polynomials": (
-        "SparsePoly", "format_poly", "is_homogeneous", "is_mu_n_invariant",
-        "poly_from_json", "poly_to_json", "squarefree_multiplicities", "valuation",
-        "valuation_with_weights",
+        "SparsePoly", "format_poly", "poly_from_json", "poly_to_json",
+        "squarefree_multiplicities", "valuation_with_weights",
     ),
     "resolution": (
         "DualGraph", "GraphVertex", "SurfaceCone", "duval_graph", "fibre_cone",

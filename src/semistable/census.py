@@ -1,7 +1,28 @@
 """Singularity census of the blown-up family along the exceptional divisor.
 
-Only case T carries census templates.  Write n = d*e with d the weight
-denominator.  The census expects the perturbation in the reduced shape
+Only case T carries census templates.  `census` checks its record once, at
+entry (`reduced_g_coefficients`): w0 = (1/d)(a1, a2, a3) must be admissible
+for the germ (else NonAdmissibleWeight) and no monomial of t*g may lie
+below w(f) (else SemistabilityViolation, with the witness).  Records from
+`build_contraction` and `enumerate_contractions` always pass; hand-built or
+`_replace`d ones may not.  The rest is read off the lattice coordinates of
+w0 (`lattices._coordinates`), (e*a1, k*e*a3, (a3 - a*a1)/d) with e = n/d,
+which are integers (membership) and coprime (primitivity).  As
+a2 = k*n*a3 - a1 and gcd(a1, a2, a3) = 1, gcd(a1, a3) = 1.  So:
+
+  * d | n: a prime of d and a1 would divide a2 (as d | a1 + a2) and a3 (as
+    d | a3 - a*a1), so gcd(a1, d) = 1, and d | n*a1 gives d | n.
+  * the origin weight a1^(-1)*a3 mod d is b = a mod d, as a3 = a*a1 (mod d),
+    and a unit, as gcd(a, n) = 1.
+  * a corner weight c is integral, being a coordinate, and a unit mod r.
+    At (1:0:0:0), r = e*a1: a prime of a1 and c divides a3, against
+    gcd(a1, a3) = 1, and a prime of e and c divides all three coordinates,
+    against primitivity.  (0:1:0:0) reads the mirrored weight (a2, a1, a3)
+    in the lattice of (1/n)(1,-1,-a), with coordinates (e*a2, k*e*a3,
+    (a3 + a*a2)/d): a2 plays a1's part, and (a3 + a*a2)/d =
+    (a3 - a*a1)/d + a*k*e*a3 agrees with the first c mod e.
+
+The census expects the perturbation in the reduced shape
 
     t*g = sum_i  b_i(t) * z^(i*n) * t^((k-i)*e*a3),     0 <= i <= k-1,
 
@@ -25,37 +46,33 @@ and the census reads off three kinds of points:
     the z' = 0 root belongs to the origin entry instead, and the nonzero
     roots fall in mu_d-orbits of size d.
   * origin (d > 1 only): the chart origin is a quotient germ
-    (xy + z^(l*n) = 0) in (1/d)(1,-1,b), b = a1^(-1) * a3 mod d, itself of
-    fibre type (k', n', a') = (l*e, d, b).  The surface reading uses the
-    least l with c_l != 0; the series reading (least i with b_i != 0) is
-    reported alongside and a divergence between the two is flagged.
+    (xy + z^(l*n) = 0) in (1/d)(1,-1,b), itself of fibre type
+    (k', n', a') = (l*e, d, b).  The surface reading uses the least l with
+    c_l != 0; the series reading (least i with b_i != 0) is reported
+    alongside and a divergence between the two is flagged.
   * corners: (1:0:0:0) and (0:1:0:0) carry the pair germs
     (xy = 0) in 1/(e*a1)(1,-1,(a3-a*a1)/d) and
-    (xy = 0) in 1/(e*a2)(1,-1,(a*a2+a3)/d); both fractions are integral for
-    every admissible weight (checked, as an internal invariant).
+    (xy = 0) in 1/(e*a2)(1,-1,(a3+a*a2)/d).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
-from .contractions import ContractionRecord
-from .errors import DomainRejection, InternalError, UnsupportedForm
-from .lattices import fibre_quotient
+from .contractions import ContractionRecord, is_admissible
+from .errors import DomainRejection, NonAdmissibleWeight, SemistabilityViolation, UnsupportedForm
+from .lattices import _coordinates, fibre_quotient
 from .polynomials import squarefree_multiplicities
 
 
 class ReducedPerturbation(NamedTuple):
-    """Leading data of a reduced perturbation: c_i = b_i(0), t-orders of b_i, l-indices."""
+    """Leading data of a reduced perturbation: c_i = b_i(0) and the l-indices."""
 
     k: int
     n: int
     e: int
-    a3: int
     c: tuple[tuple[int, Fraction], ...]  # (i, c_i) with c_i != 0, ascending i
-    series_orders: tuple[tuple[int, int], ...]  # (i, ord_t b_i) for b_i != 0
     l_series: int | None  # least i with b_i != 0 as a (truncated) series
     caveat: str | None
 
@@ -73,25 +90,27 @@ class ReducedPerturbation(NamedTuple):
 
 
 def reduced_g_coefficients(record: ContractionRecord) -> ReducedPerturbation:
-    """Extract the c_i and series orders from a reduced-shape perturbation.
+    """Check the record, then extract the c_i and the series index of its perturbation.
 
-    Raises UnsupportedForm when t*g has monomials off the reduced grid
-    (involving x or y, or z-exponents that are not i*n with i <= k-1).  No
-    t-exponent lies below the grid: a record has w(t*g) >= w(f).
+    Raises DomainRejection outside case T, NonAdmissibleWeight when w0 is
+    not admissible for the germ, SemistabilityViolation (with the witness
+    monomial) when a monomial of t*g lies below w(f), and UnsupportedForm
+    when t*g has monomials off the reduced grid (involving x or y, or
+    z-exponents that are not i*n with i <= k-1).
     """
     germ = record.germ
     if germ.case != "T":
         raise DomainRejection("census templates cover only the xy + z^(k*n) family")
+    ok, reason = is_admissible(germ, record.w0)
+    if not ok:
+        raise NonAdmissibleWeight(reason)
     k, n = germ.k, germ.n
-    d = record.w0.denominator
-    if n % d:
-        raise InternalError(f"the weight denominator {d} must divide the index {n}")
-    e = n // d
+    e = n // record.w0.denominator  # d divides n for an admissible w0
     a3 = record.w0.numerators[2]
     i_max = k - 1
 
     c: dict[int, Fraction] = {}
-    orders: dict[int, int] = {}
+    columns = set()  # the i with b_i != 0: each monomial is a distinct term of its b_i
     for (i, j, kz, l), coeff in germ.tg.items():
         if i or j:
             raise UnsupportedForm(
@@ -107,12 +126,13 @@ def reduced_g_coefficients(record: ContractionRecord) -> ReducedPerturbation:
             raise UnsupportedForm(
                 f"z-exponent {kz} exceeds the reduced bound {i_max}*{n}"
             )
-        t_min = (k - idx) * e * a3  # w(z^kz * t^l) >= w(f) in a record
+        t_min = (k - idx) * e * a3  # w(z^kz * t^l) >= w(f) iff l >= t_min
         if l < t_min:
-            raise InternalError(f"monomial z^{kz}*t^{l} of a record lies below w(f)")
-        order = l - t_min  # b_idx = sum coeff * t^(l - t_min)
-        if idx not in orders or order < orders[idx]:
-            orders[idx] = order
+            raise SemistabilityViolation(
+                f"monomial z^{kz}*t^{l} lies below w(f) for w0 = {record.w0}",
+                witness=(i, j, kz, l),
+            )
+        columns.add(idx)
         if l == t_min:
             c[idx] = c.get(idx, Fraction(0)) + coeff
 
@@ -123,9 +143,8 @@ def reduced_g_coefficients(record: ContractionRecord) -> ReducedPerturbation:
     elif not c_items:
         caveat = "every leading coefficient b_i(0) vanishes in the supplied terms"
     return ReducedPerturbation(
-        k=k, n=n, e=e, a3=a3, c=c_items,
-        series_orders=tuple(sorted(orders.items())),
-        l_series=min(orders) if orders else None,
+        k=k, n=n, e=e, c=c_items,
+        l_series=min(columns) if columns else None,
         caveat=caveat,
     )
 
@@ -203,10 +222,7 @@ def _origin(record: ContractionRecord, red: ReducedPerturbation) -> OriginEntry 
     l_fib = red.l_fibre
     if l_fib == 0:
         return None  # c_0 != 0: the chart origin misses the surface
-    a1, _, a3 = record.w0.numerators
-    b = (pow(a1, -1, d) * a3) % d
-    if gcd(b, d) != 1:
-        raise InternalError(f"origin weight b={b} must be a unit mod {d}")
+    b = record.germ.a % d  # a1^(-1)*a3 = a (mod d) on the lattice
     k_prime, n_prime, a_prime = l_fib * red.e, d, b
     r, q = fibre_quotient(k_prime, n_prime, a_prime)
     l_show = red.l_series if red.l_series is not None else l_fib
@@ -249,27 +265,17 @@ class CornerEntry(NamedTuple):
         }
 
 
-def corner_singularities(record: ContractionRecord) -> tuple[CornerEntry, CornerEntry]:
-    """The two corner quotients at (1:0:0:0) and (0:1:0:0)."""
-    germ = record.germ
-    if germ.case != "T":
-        raise DomainRejection("corner templates cover only the xy + z^(k*n) family")
+def _corners(record: ContractionRecord) -> tuple[CornerEntry, CornerEntry]:
+    """The corner quotients at (1:0:0:0) and (0:1:0:0), from lattice coordinates of w0."""
     a1, a2, a3 = record.w0.numerators
     d = record.w0.denominator
-    e = germ.n // d
-    a = germ.a
-    corners = []
-    for point, r, numerator in (
-        ("(1:0:0:0)", e * a1, a3 - a * a1),
-        ("(0:1:0:0)", e * a2, a * a2 + a3),
-    ):
-        if numerator % d:
-            raise InternalError("corner weight must be integral for admissible w0")
-        c = (numerator // d) % r if r > 1 else 0
-        if r > 1 and gcd(c, r) != 1:
-            raise InternalError(f"corner weight {c} must be a unit mod {r}")
-        corners.append(CornerEntry(point=point, r=r, c=c))
-    return corners[0], corners[1]
+    n, a = record.germ.n, record.germ.a
+    r1, _, c1 = _coordinates(n, a, (a1, a2, a3), d)
+    r2, _, c2 = _coordinates(n, -a, (a2, a1, a3), d)
+    return (
+        CornerEntry(point="(1:0:0:0)", r=r1, c=c1 % r1),
+        CornerEntry(point="(0:1:0:0)", r=r2, c=c2 % r2),
+    )
 
 
 class SingularityCensus(NamedTuple):
@@ -286,10 +292,13 @@ class SingularityCensus(NamedTuple):
 
 
 def census(record: ContractionRecord) -> SingularityCensus:
-    """Full census of the family along E: interior A-points, origin germ, corners."""
+    """Full census of the family along E: interior A-points, origin germ, corners.
+
+    Checks the record first (see `reduced_g_coefficients`).
+    """
     red = reduced_g_coefficients(record)
     return SingularityCensus(
         interior=_interior(record, red),
         origin=_origin(record, red) if record.w0.denominator > 1 else None,
-        corners=corner_singularities(record),
+        corners=_corners(record),
     )

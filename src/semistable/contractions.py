@@ -36,8 +36,8 @@ from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import DomainRejection, InternalError, NonAdmissibleWeight, SemistabilityViolation
-from .germs import GermSpec, normal_form
+from .errors import DomainRejection, NonAdmissibleWeight, SemistabilityViolation
+from .germs import GermSpec
 from .lattices import (
     WeightVector,
     _coordinates,
@@ -49,7 +49,6 @@ from .lattices import (
 from .polynomials import (
     SparsePoly,
     format_poly,
-    is_homogeneous,
     min_weight_monomial,
     poly_to_json,
     scaled_graded_piece,
@@ -127,9 +126,6 @@ def fixed_weights_DE(case: str, m: int | None = None) -> WeightVector:
         w = WeightVector(_DE_TABLE[case])
     else:
         raise ValueError(f"no fixed weights for case {case!r}")
-    homogeneous, _ = is_homogeneous(w, normal_form(case, 1, None, m))
-    if not homogeneous:
-        raise InternalError(f"the {case} normal form is not homogeneous for {w}")
     return w
 
 

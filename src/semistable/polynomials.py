@@ -5,10 +5,10 @@ base-curve parameter t: monomials are exponent tuples (i, j, k, l),
 coefficients are `fractions.Fraction`, and no zero coefficient is ever
 stored.  The weight (1/d)(a1, a2, a3) assigns (1/d)(a1*i + a2*j + a3*k) + l
 to the exponent (i, j, k, l); t always weighs 1.  Gradings are computed on
-the scaled weight d*(that) = a1*i + a2*j + a3*k + d*l, an integer, so
-valuation, homogeneity and the graded piece are integer min / filter
-computations over one kernel, `_graded`.  `valuation` and `is_homogeneous`
-hand out `Fraction(scaled, d)` only at their return; `valuation_with_weights`
+the scaled weight d*(that) = a1*i + a2*j + a3*k + d*l, an integer, so the
+valuation and the graded pieces are integer min / filter computations over
+one kernel, `_graded`; a caller that needs the rational valuation builds
+`Fraction(scaled, d)` itself.  `valuation_with_weights`
 grades in the number type of the weights it is given (integers give an int).
 """
 
@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 
 from .errors import ZeroPolynomialError
-from .lattices import QuotientLattice, WeightVector, _exact, fraction_to_str, mu_n_character
+from .lattices import WeightVector, _exact, fraction_to_str
 
 VAR_NAMES = ("x", "y", "z", "t")
 
@@ -181,11 +181,6 @@ def scaled_valuation(w: WeightVector, h: SparsePoly) -> int:
     return min(grade for grade, _ in _graded((*w.numerators, w.denominator), h))
 
 
-def valuation(w: WeightVector, h: SparsePoly) -> Fraction:
-    """Minimum monomial weight of h; the order of vanishing along the exceptional divisor."""
-    return Fraction(scaled_valuation(w, h), w.denominator)
-
-
 def valuation_with_weights(weights, h: SparsePoly) -> int | Fraction:
     """Least sum(w_i * e_i) over the monomials of h, one weight per variable.
 
@@ -204,23 +199,10 @@ def min_weight_monomial(w: WeightVector, h: SparsePoly) -> tuple[Exponent, Fract
     return exp, h._terms[exp]
 
 
-def is_homogeneous(w: WeightVector, h: SparsePoly) -> tuple[bool, Fraction | None]:
-    """Whether all monomials of h share one weight; returns (True, weight) if so."""
-    values = {grade for grade, _ in _graded((*w.numerators, w.denominator), h)}
-    if len(values) == 1:
-        return True, Fraction(values.pop(), w.denominator)
-    return False, None
-
-
 def scaled_graded_piece(w: WeightVector, h: SparsePoly, scaled_value: int) -> SparsePoly:
     """The graded piece of h (nonzero) of scaled weight scaled_value, possibly zero."""
     graded = _graded((*w.numerators, w.denominator), h)
     return SparsePoly({e: h._terms[e] for grade, e in graded if grade == scaled_value})
-
-
-def is_mu_n_invariant(lattice: QuotientLattice, h: SparsePoly) -> bool:
-    """Whether every monomial of h has character 0 under the 1/n(1,-1,a,0) action."""
-    return all(mu_n_character(lattice, e) == 0 for e in h._terms)
 
 
 # ----------------------------------------------------------------------------

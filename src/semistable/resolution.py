@@ -34,7 +34,10 @@ from .lattices import WeightVector, _coordinates, _exact, _scaled, fibre_quotien
 Vector2 = tuple[Fraction, Fraction]
 
 
-_MAX_HJ_LENGTH = 100_000  # 1/r(1, r-1) has r-1 entries; 10^6 took 94 MB on a 2-vCPU Xeon
+# Curves one resolution graph may have: 1/r(1, r-1) has r-1 entries and A_m, D_m
+# have m curves; 10^6 entries took 94 MB on a 2-vCPU Xeon
+_MAX_HJ_LENGTH = 100_000
+_TOO_LONG = f"the resolution has more than {_MAX_HJ_LENGTH} curves"
 
 
 def hj_expansion(r: int, q: int) -> list[int]:
@@ -45,7 +48,7 @@ def hj_expansion(r: int, q: int) -> list[int]:
     out = []
     while r > 1:
         if len(out) == _MAX_HJ_LENGTH:
-            raise DomainRejection(f"the resolution has more than {_MAX_HJ_LENGTH} curves")
+            raise DomainRejection(_TOO_LONG)
         b = -(-r // q)  # ceil(r/q)
         out.append(b)
         r, q = q, b * q - r
@@ -113,8 +116,13 @@ _DUVAL_LEGS = {"E6": (1, 2, 2), "E7": (1, 2, 3), "E8": (1, 2, 4)}
 
 
 def duval_graph(label: str) -> DualGraph:
-    """The A/D/E tree of (-2)-curves; D and E graphs carry their fork marker."""
+    """The A/D/E tree of (-2)-curves; D and E graphs carry their fork marker.
+
+    A_m and D_m have m curves, so m past _MAX_HJ_LENGTH raises DomainRejection.
+    """
     match = _DUVAL_AD.fullmatch(label)
+    if match and int(match[2]) > _MAX_HJ_LENGTH:
+        raise DomainRejection(_TOO_LONG)
     if match and match[1] == "A":
         return DualGraph.string([2] * int(match[2]))
     if match and int(match[2]) >= 4:

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import semistable as ss
-from semistable import WeightVector
+from semistable import SurfaceCone, WeightVector
 from oracles import oracle_interior, reduced_T_records
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -33,7 +34,7 @@ def test_reduced_coefficients_quartic():
     red = ss.reduced_g_coefficients(QUARTIC)
     assert dict(red.c) == {0: Fraction(5)}
     assert red.l_series == 0 and red.l_fibre == 0
-    assert (red.k, red.n, red.e, red.a3) == (2, 2, 1, 1)
+    assert (red.k, red.n, red.e) == (2, 2, 1)
 
 
 def test_reduced_rejects_off_grid_monomials():
@@ -69,7 +70,6 @@ def test_reduced_tracks_series_tails():
     assert dict(red.c) == {1: Fraction(-3)}
     assert red.l_series == 0
     assert red.l_fibre == 1
-    assert dict(red.series_orders) == {0: 1, 1: 0}
 
 
 def test_interior_census_cubic():
@@ -139,26 +139,24 @@ def test_origin_divergence_flag():
 
 
 def test_corner_examples():
-    first, second = ss.corner_singularities(CUBIC)
+    first, second = ss.census(CUBIC).corners
     assert (first.r, first.c, first.smooth) == (2, 1, False)
     assert second.smooth
 
-    first, second = ss.corner_singularities(QUARTIC)
+    first, second = ss.census(QUARTIC).corners
     assert first.smooth
     assert (second.r, second.c) == (3, 2)
 
-    both = ss.corner_singularities(record_T(1, 0, 2, ((1, 1, 1),)))
+    both = ss.census(record_T(1, 0, 2, ((1, 1, 1),))).corners
     assert both[0].smooth and both[1].smooth
 
 
 def test_corner_integrality_across_enumeration():
-    from math import gcd
-
     for n, a, k in [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 2, 2), (4, 1, 1), (5, 2, 1)]:
         germ = ss.validate_germ({"n": n, "a": a, "case": "T", "k": k, "g": []})
         for w in ss.admissible_weights_T(n, a, k, 4):
             record = ss.build_contraction(germ, w)
-            for corner in ss.corner_singularities(record):
+            for corner in ss.census(record).corners:
                 assert corner.r >= 1
                 if corner.r > 1:
                     assert 1 <= corner.c < corner.r
@@ -197,8 +195,8 @@ def test_census_refuses_de_cases():
     with pytest.raises(ss.DomainRejection):
         ss.census(record)
     d4 = ss.validate_germ({"n": 1, "a": 0, "case": "D", "m": 4, "g": []})
-    with pytest.raises(ss.DomainRejection, match="corner templates"):
-        ss.corner_singularities(ss.build_contraction(d4, ss.fixed_weights_DE("D", 4)))
+    with pytest.raises(ss.DomainRejection, match="census templates"):
+        ss.census(ss.build_contraction(d4, ss.fixed_weights_DE("D", 4)))
 
 
 def test_index_one_path_reproduces_plain_census():
@@ -208,7 +206,63 @@ def test_index_one_path_reproduces_plain_census():
                        {"coeff": "2", "exp": [0, 0, 0, 2]}])
     red = ss.reduced_g_coefficients(record)
     assert (red.e, red.n) == (1, 1)
-    first, second = ss.corner_singularities(record)
+    first, second = ss.census(record).corners
     # index-1 closed form: 1/a1(1,-1,a3) and 1/a2(1,-1,a3)
     assert (first.r, first.c) == (2, 1 % 2)
     assert second.r == 1
+
+
+# a record of {"n": 5, "a": 2, "case": "T", "k": 1, "g": []}, to be rebuilt by hand
+INDEX_FIVE = record_T(5, 2, 1, ((3, 2, 1), 5))
+
+
+@pytest.mark.parametrize(
+    "w0, reason",
+    [
+        (WeightVector((1, 4, 1), 5), "does not lie in"),
+        (WeightVector((1, 9, 2), 2), "does not lie in"),
+        (WeightVector((1, 9, 2)), "imprimitive"),
+        (WeightVector((1, 1, 1)), "not homogeneous"),
+    ],
+)
+def test_census_rejects_a_hand_built_weight(w0, reason):
+    with pytest.raises(ss.NonAdmissibleWeight, match=reason):
+        ss.census(INDEX_FIVE._replace(w0=w0))
+
+
+@pytest.mark.parametrize("t_power", [3, 4])
+def test_census_rejects_a_hand_built_unstable_pair(t_power):
+    # t*g = t^3 or t^4 lies below w(f) = 5 for w0 = (1, 4, 5); build_contraction refuses it too
+    record = record_T(1, 0, 1, ((1, 4, 5),))
+    germ = ss.validate_germ(
+        {"n": 1, "a": 0, "case": "T", "k": 1, "g": [{"coeff": "1", "exp": [0, 0, 0, t_power - 1]}]}
+    )
+    for check in (lambda: ss.census(record._replace(germ=germ)),
+                  lambda: ss.build_contraction(germ, record.w0)):
+        with pytest.raises(ss.SemistabilityViolation) as info:
+            check()
+        assert info.value.witness == (0, 0, 0, t_power)
+
+
+@st.composite
+def fibre_configs(draw):
+    n = draw(st.integers(1, 12))
+    a = draw(st.sampled_from([a for a in range(n) if gcd(a, n) == 1]))
+    return n, a, draw(st.integers(1, 4)), draw(st.integers(0, 6))
+
+
+@PROPERTY
+@given(fibre_configs())
+def test_corners_are_the_subdivided_fibre_cones(config):
+    # the corners of E are the torus-fixed points of F on the subdivided fibre
+    n, a, k, bound = config
+    germ = ss.validate_germ({"n": n, "a": a, "case": "T", "k": k, "g": []})
+    cone = ss.fibre_cone(k, n, a)
+    records, rejected = ss.enumerate_contractions(germ, bound)
+    assert not rejected
+    for record in records:
+        c1, c2 = ss.census(record).corners
+        left, right, F = ss.toric_subdivide(cone, ss.weight_to_ray(k, n, record.w0))
+        assert right == SurfaceCone(c1.r, -pow(c1.c, -1, c1.r))
+        assert left == SurfaceCone(c2.r, -c2.c)
+        assert F == record.discrepancy - 1

@@ -137,15 +137,20 @@ def test_closed_stdout_exits_1_without_traceback(germ_file):
     assert err == b""
 
 
+T_GERM = {"n": 1, "a": 0, "case": "T", "k": 1, "g": []}
+
+
 @pytest.mark.parametrize(
-    "argv, limit",
-    [(["enumerate", "{germ}", "--bound", "1000000000"], "over the limit 100000"),
-     (["resolve", "1000000001", "1000000000"], "more than 100000 curves")],
-    ids=["enumerate", "resolve"],
+    "argv, limit, germ",
+    [(["enumerate", "{germ}", "--bound", "1000000000"], "over the limit 100000", T_GERM),
+     (["resolve", "1000000001", "1000000000"], "more than 100000 curves", T_GERM),
+     (["classify", "{germ}"], "more than 100000 curves",
+      {"n": 1, "a": 0, "case": "D", "m": 100001, "g": []})],
+    ids=["enumerate", "resolve", "classify-D"],
 )
-def test_hostile_sizes_exit_2_at_once(germ_file, argv, limit):
-    """Work limits stop a huge bound or quotient before the work starts."""
-    path = germ_file({"n": 1, "a": 0, "case": "T", "k": 1, "g": []})
+def test_hostile_sizes_exit_2_at_once(germ_file, argv, limit, germ):
+    """Work limits stop a huge bound, quotient or Du Val graph before the work starts."""
+    path = germ_file(germ)
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     argv = [path if arg == "{germ}" else arg for arg in argv]
     command = [sys.executable, "-m", "semistable.cli", *argv]

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import semistable as ss
 from semistable import SparsePoly, WeightVector
+from semistable.polynomials import scaled_graded_piece, scaled_valuation
 from oracles import brute_force_weights_T, t_power_germs
 
 
@@ -161,8 +162,10 @@ def test_E_equation_is_homogeneous_of_weight_lambda():
     ]
     for germ, w in cases:
         record = ss.build_contraction(germ, w)
-        homogeneous, value = ss.is_homogeneous(record.w0, record.E_equation)
-        assert homogeneous and value == record.lam
+        d, lam_scaled = record.w0.denominator, scaled_valuation(record.w0, record.E_equation)
+        # homogeneous: E equals its lowest graded piece
+        assert scaled_graded_piece(record.w0, record.E_equation, lam_scaled) == record.E_equation
+        assert Fraction(lam_scaled, d) == record.lam
 
 
 def test_semistability_violation_carries_witness():
@@ -235,7 +238,8 @@ def test_enumeration_decides_each_weight_as_build_contraction_does(germ, bound):
         w = record.w0
         assert record == ss.build_contraction(germ, w)
         # the discrepancy formula that lambda replaced: sum(w0, 1) - w(f + t*g) - 1
-        assert record.discrepancy == sum(w.fractions) + 1 - ss.valuation(w, germ.equation) - 1
+        valuation = Fraction(scaled_valuation(w, germ.equation), w.denominator)
+        assert record.discrepancy == sum(w.fractions) + 1 - valuation - 1
     for w, witness in rejected:
         with pytest.raises(ss.SemistabilityViolation) as info:
             ss.build_contraction(germ, w)

@@ -1,4 +1,8 @@
-"""Each demo runs to completion against the library in src/."""
+"""Each demo runs to completion against the library in src/ and prints its pinned stdout.
+
+The expected output of demo `0N_*.py` is `tests/golden/demo_0N.txt`; a change
+to the library that alters what a demo prints must update the file on purpose.
+"""
 
 import os
 import subprocess
@@ -8,6 +12,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
@@ -18,6 +23,7 @@ def test_demo_runs(demo):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     result = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(demo)], env=env, capture_output=True, timeout=120
     )
-    assert result.returncode == 0, result.stderr
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == (GOLDEN / f"demo_{demo.stem[:2]}.txt").read_bytes()

@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -92,10 +93,21 @@ def test_validate_idempotent():
 
 
 def test_normal_forms_are_invariant():
-    for raw in [QUADRIC, raw_T(3, 2, 2), raw_T(5, 2, 1), raw_T(1, 0, 4)]:
+    # validate_germ checks t*g only: every normal form f of the table is invariant
+    raws = [QUADRIC, raw_T(5, 2, 1), raw_T(1, 0, 4)]
+    raws += [raw_T(n, a, k) for n in range(1, 13) for a in range(n) for k in (1, 2, 3)]
+    raws += [{"n": n, "a": a, "case": "N", "g": []} for n in range(1, 13) for a in range(n)]
+    raws += [{"n": 1, "a": 0, "case": "D", "m": m, "g": []} for m in range(4, 40)]
+    raws += [{"n": 1, "a": 0, "case": case, "g": []} for case in ("E6", "E7", "E8")]
+    seen = set()
+    for raw in raws:
+        if math.gcd(raw["a"], raw["n"]) != 1:
+            continue
         germ = ss.validate_germ(raw)
-        assert ss.is_mu_n_invariant(germ.weight_lattice, germ.f)
-        assert ss.is_mu_n_invariant(germ.weight_lattice, germ.f + germ.tg)
+        seen.add(germ.case)
+        lattice = germ.weight_lattice
+        assert all(ss.mu_n_character(lattice, e) == 0 for e, _ in (germ.f + germ.tg).items())
+    assert seen == set(ss.germs.CASES)
 
 
 def test_fibre_singularity_examples():

@@ -7,14 +7,24 @@ import pytest
 
 import semistable as ss
 from semistable import SparsePoly
-from semistable.polynomials import min_weight_monomial, scaled_graded_piece
+from semistable.polynomials import min_weight_monomial, scaled_graded_piece, scaled_valuation
 from oracles import dense_product, poly_product
 
 W = ss.WeightVector
 
 
+def valuation(w, h):
+    return Fraction(scaled_valuation(w, h), w.denominator)
+
+
+def homogeneous_weight(w, h):
+    """The weight of h when h is homogeneous, i.e. equals its lowest graded piece; else None."""
+    low = scaled_valuation(w, h)
+    return Fraction(low, w.denominator) if scaled_graded_piece(w, h, low) == h else None
+
+
 def monomial_weight(w, exp):
-    return ss.valuation(w, SparsePoly.monomial(exp))
+    return valuation(w, SparsePoly.monomial(exp))
 
 
 def test_monomial_weight_examples():
@@ -26,11 +36,12 @@ def test_monomial_weight_examples():
 
 
 def test_valuation_examples():
-    assert ss.valuation(W((6, 4, 3)), ss.normal_form("E6")) == 12
-    assert ss.valuation(W((15, 10, 6)), ss.normal_form("E8")) == 30
-    assert ss.valuation(W((1, 1, 1)), SparsePoly({(0, 0, 0, 7): 1})) == 7
+    assert scaled_valuation(W((6, 4, 3)), ss.normal_form("E6")) == 12
+    assert scaled_valuation(W((15, 10, 6)), ss.normal_form("E8")) == 30
+    assert scaled_valuation(W((1, 1, 1)), SparsePoly({(0, 0, 0, 7): 1})) == 7
+    assert scaled_valuation(W((1, 5, 3), 2), ss.normal_form("T", 2, 1)) == 6  # w(xy) = 3
     for zero_valuation in (
-        lambda: ss.valuation(W((1, 1, 1)), SparsePoly()),
+        lambda: scaled_valuation(W((1, 1, 1)), SparsePoly()),
         lambda: ss.valuation_with_weights((1, 1, 1, 1), SparsePoly()),
         lambda: min_weight_monomial(W((1, 1, 1)), SparsePoly()),
     ):
@@ -39,14 +50,12 @@ def test_valuation_examples():
 
 
 def test_homogeneity_examples():
-    ok, weight = ss.is_homogeneous(W((4, 3, 2)), ss.normal_form("D", m=5))
-    assert ok and weight == 8
-    ok, weight = ss.is_homogeneous(W((9, 6, 4)), ss.normal_form("E7"))
-    assert ok and weight == 18
+    assert homogeneous_weight(W((4, 3, 2)), ss.normal_form("D", m=5)) == 8
+    assert homogeneous_weight(W((9, 6, 4)), ss.normal_form("E7")) == 18
     mixed = SparsePoly({(1, 0, 0, 0): 1, (0, 0, 2, 0): 1})
-    assert ss.is_homogeneous(W((1, 1, 1)), mixed) == (False, None)
+    assert homogeneous_weight(W((1, 1, 1)), mixed) is None
     with pytest.raises(ss.ZeroPolynomialError):
-        ss.is_homogeneous(W((1, 1, 1)), SparsePoly())
+        homogeneous_weight(W((1, 1, 1)), SparsePoly())
 
 
 def graded_pieces(w, h):
@@ -95,7 +104,7 @@ def test_valuation_additive_on_positive_products():
         h1 = _random_sparse(rng, positive=True)
         h2 = _random_sparse(rng, positive=True)
         product = poly_product(h1, h2)
-        assert ss.valuation(w, product) == ss.valuation(w, h1) + ss.valuation(w, h2)
+        assert valuation(w, product) == valuation(w, h1) + valuation(w, h2)
 
 
 def test_graded_pieces_sum_to_whole():
@@ -108,20 +117,21 @@ def test_graded_pieces_sum_to_whole():
         pieces = graded_pieces(w, h)
         total = SparsePoly()
         for weight, part in pieces:
-            ok, value = ss.is_homogeneous(w, part)
-            assert ok and value == weight
+            assert homogeneous_weight(w, part) == weight
             total = total + part
         assert total == h
-        assert ss.valuation(w, h) == pieces[0][0]
+        assert valuation(w, h) == pieces[0][0]
 
 
 def test_mu_invariance_examples():
     L = ss.QuotientLattice(2, 1)
     h = SparsePoly({(1, 1, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 3): 1})
-    assert ss.is_mu_n_invariant(L, h)
-    assert not ss.is_mu_n_invariant(L, SparsePoly({(0, 0, 1, 0): 1}))
+    assert [ss.mu_n_character(L, e) for e, _ in h.items()] == [0, 0, 0]
+    assert ss.mu_n_character(L, (0, 0, 1, 0)) == 1
     trivial = ss.QuotientLattice(1, 0)
-    assert ss.is_mu_n_invariant(trivial, SparsePoly({(0, 0, 1, 0): 5, (1, 0, 0, 2): 3}))
+    assert ss.mu_n_character(trivial, (0, 0, 1, 0)) == ss.mu_n_character(trivial, (1, 0, 0, 2)) == 0
+    assert ss.mu_n_character(ss.QuotientLattice(5, 2), (1, 0, 2, 0)) == 0  # 1 + 2*2 = 5
+    assert ss.mu_n_character(ss.QuotientLattice(5, 2), (0, 1, 1, 3)) == 1  # -1 + 2
 
 
 def test_squarefree_examples():

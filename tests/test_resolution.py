@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -60,6 +61,18 @@ def test_hj_expansion_length_is_bounded():
     for r in (longest + 1, 10**9 + 1):
         with pytest.raises(ss.DomainRejection, match=str(_MAX_HJ_LENGTH)):
             ss.hj_expansion(r, r - 1)
+
+
+def test_duval_graph_size_is_bounded():
+    from semistable.resolution import _MAX_HJ_LENGTH
+
+    # A_m and D_m have m curves; past the limit the label is refused before any vertex is built
+    assert len(ss.duval_graph(f"A{_MAX_HJ_LENGTH}").vertices) == _MAX_HJ_LENGTH
+    for label in (f"A{_MAX_HJ_LENGTH + 1}", f"D{_MAX_HJ_LENGTH + 1}", "D1000000000"):
+        start = time.perf_counter()
+        with pytest.raises(ss.DomainRejection, match=str(_MAX_HJ_LENGTH)):
+            ss.duval_graph(label)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_hj_round_trip_small():

@@ -63,8 +63,8 @@ CASES = {
     ),
     "ReducedPerturbation": (
         lambda: ss.reduced_g_coefficients(record()),
-        "ReducedPerturbation(k=1, n=2, e=1, a3=3, c=((0, Fraction(1, 1)),), "
-        "series_orders=((0, 0),), l_series=0, caveat=None)",
+        "ReducedPerturbation(k=1, n=2, e=1, c=((0, Fraction(1, 1)),), "
+        "l_series=0, caveat=None)",
     ),
     "InteriorEntry": (
         lambda: ss.census(record(CUBIC, ((1, 2, 1), 1))).interior[0],
@@ -78,7 +78,7 @@ CASES = {
         "caveat='perturbation is zero to the supplied order')",
     ),
     "CornerEntry": (
-        lambda: ss.corner_singularities(record())[1],
+        lambda: ss.census(record()).corners[1],
         "CornerEntry(point='(0:1:0:0)', r=5, c=4)",
     ),
     "SingularityCensus": (
@@ -179,15 +179,14 @@ PUBLIC_NAMES = [
     "InternalError", "NonAdmissibleWeight", "OriginEntry", "QuotientLattice",
     "ReducedPerturbation", "SemistabilityViolation", "SingularityCensus", "SparsePoly",
     "SurfaceCone", "UnsupportedForm", "WeightVector", "ZeroPolynomialError",
-    "admissible_weights_T", "build_contraction", "census", "corner_singularities",
-    "cover_data", "duval_graph", "enumerate_contractions", "fibre_cone",
-    "fibre_singularity", "fixed_weights_DE", "format_poly", "fraction_to_str",
-    "hj_evaluate", "hj_expansion", "is_admissible", "is_homogeneous",
-    "is_mu_n_invariant", "is_primitive", "isolatedness_probe", "lattice_contains",
-    "mu_n_character", "normal_form", "parse_weight", "poly_from_json", "poly_to_json",
-    "ray_to_weight", "reduced_g_coefficients", "resolve_cyclic",
-    "squarefree_multiplicities", "toric_subdivide", "validate_germ", "valuation",
-    "valuation_with_weights", "verify_cover", "weight_to_ray",
+    "admissible_weights_T", "build_contraction", "census", "cover_data", "duval_graph",
+    "enumerate_contractions", "fibre_cone", "fibre_singularity", "fixed_weights_DE",
+    "format_poly", "fraction_to_str", "hj_evaluate", "hj_expansion", "is_admissible",
+    "is_primitive", "isolatedness_probe", "lattice_contains", "mu_n_character",
+    "normal_form", "parse_weight", "poly_from_json", "poly_to_json", "ray_to_weight",
+    "reduced_g_coefficients", "resolve_cyclic", "squarefree_multiplicities",
+    "toric_subdivide", "validate_germ", "valuation_with_weights", "verify_cover",
+    "weight_to_ray",
 ]
 
 
