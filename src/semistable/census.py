@@ -60,8 +60,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .contractions import ContractionRecord, is_admissible
-from .errors import DomainRejection, NonAdmissibleWeight, SemistabilityViolation, UnsupportedForm
+from .contractions import ContractionRecord, _check_admissible
+from .errors import DomainRejection, SemistabilityViolation, UnsupportedForm
 from .lattices import _coordinates, fibre_quotient
 from .polynomials import squarefree_multiplicities
 
@@ -101,9 +101,7 @@ def reduced_g_coefficients(record: ContractionRecord) -> ReducedPerturbation:
     germ = record.germ
     if germ.case != "T":
         raise DomainRejection("census templates cover only the xy + z^(k*n) family")
-    ok, reason = is_admissible(germ, record.w0)
-    if not ok:
-        raise NonAdmissibleWeight(reason)
+    _check_admissible(germ, record.w0)
     k, n = germ.k, germ.n
     e = n // record.w0.denominator  # d divides n for an admissible w0
     a3 = record.w0.numerators[2]

@@ -20,18 +20,30 @@ monomial of t*g has t-degree >= 1), so a semistable pair has valuation
 lambda = w(f).  `verify_cover` recomputes the left side on the index-one
 cover, and the resolution module matches it to the rank-2 toric picture.
 
-Each weight is decided once, by the private core `_contraction`: lambda,
-the semistability test, the graded piece of t*g at lambda and the record, or
-None when w(t*g) < w(f).  Enumeration runs it on the weights the scan
-yields, admissible by construction; `build_contraction` checks admissibility
-first and raises SemistabilityViolation for a None.  All of it runs on
-integers (valuations scaled by the weight denominator d, see the
-polynomials module); `Fraction(scaled, d)` is built only for a record.
+A record is its germ and weight: lambda, the discrepancy, the ambient
+P(a1, a2, a3, d) and E are read off them.  In case T, lambda = w(xy) =
+(a1 + a2)/d = k*n*a3/d, so the discrepancy is a3/d, and d is its exact
+denominator.  Lattice membership makes the coordinates
+(n*a1, a1 + a2, a3 - a*a1)/d integers (see `lattices._coordinates`).  A
+prime of d and a1 would then divide a2 and a3, against gcd(a1, a2, a3) = 1,
+so a1 is a unit mod d and d | n.  So a, a unit mod n, is one mod d, and so
+is a3 = a*a1 (mod d).  In the D and E cases w0 is integral and d = 1.  The
+cover module builds on this.
+
+Each weight is decided once, by the private core `_contraction`: the
+semistability test, which yields the record or None when w(t*g) < w(f).
+Enumeration runs it on the weights the scan yields, admissible by
+construction; `build_contraction` checks admissibility first
+(`_check_admissible`, shared with the census and the cover) and raises
+SemistabilityViolation for a None.  All of it runs on integers
+(valuations scaled by the weight denominator d, see the polynomials
+module); `Fraction(scaled, d)` is built only where a record is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
@@ -158,22 +170,59 @@ def is_admissible(germ: GermSpec, w0: WeightVector) -> tuple[bool, str | None]:
     return True, None
 
 
-class ContractionRecord(NamedTuple):
-    """One weighted blowup of a germ, with its exceptional divisor data.
+def _check_admissible(germ: GermSpec, w0: WeightVector) -> None:
+    """Raise NonAdmissibleWeight, with its reason, for a weight `is_admissible` refuses."""
+    ok, reason = is_admissible(germ, w0)
+    if not ok:
+        raise NonAdmissibleWeight(reason)
+
+
+class _ContractionFields(NamedTuple):
+    germ: GermSpec
+    w0: WeightVector
+
+
+class ContractionRecord(_ContractionFields):
+    """The weighted blowup of a germ with weights (w0, 1), and its exceptional divisor.
 
     E lives in the weighted projective space P(a1, a2, a3, d) and is cut out
     by f(X, Y, Z) + T * g_(lam-1)(X, Y, Z, T), where g_(lam-1) is the graded
-    piece of g in weight lam - 1 (possibly zero) and lam = w(f).
+    piece of g in weight lam - 1 (possibly zero) and lam = w(f).  lam and E
+    are built once per record, on first use, and cached in the instance
+    __dict__ (so this subclass declares no __slots__), which equality and
+    hashing never read.  `build_contraction` and `enumerate_contractions`
+    return only admissible, semistable records; a hand-built one is checked
+    where it is used (`census`, `cover_data`, `verify_cover`).
     """
 
-    germ: GermSpec
-    w0: WeightVector
-    lam: Fraction
-    discrepancy: Fraction
-    ambient: tuple[int, int, int, int]
-    E_equation: SparsePoly
-    semistable_ok: bool
-    contraction_status: str
+    @cached_property
+    def _scaled_lam(self) -> int:
+        """d * lam, an integer."""
+        return scaled_valuation(self.w0, self.germ.f)
+
+    @property
+    def lam(self) -> Fraction:
+        return Fraction(self._scaled_lam, self.w0.denominator)
+
+    @property
+    def discrepancy(self) -> Fraction:
+        # w(f + t*g) = lam, so d*(sum(w0, 1) - w(f + t*g) - 1) = sum(a_i) - d*lam
+        return Fraction(sum(self.w0.numerators) - self._scaled_lam, self.w0.denominator)
+
+    @property
+    def ambient(self) -> tuple[int, int, int, int]:
+        return (*self.w0.numerators, self.w0.denominator)
+
+    @cached_property
+    def E_equation(self) -> SparsePoly:
+        if self.germ.tg.is_zero:
+            return self.germ.f
+        piece = scaled_graded_piece(self.w0, self.germ.tg, self._scaled_lam)  # t * g_(lam-1)
+        return self.germ.f + piece
+
+    @property
+    def contraction_status(self) -> str:
+        return "divisorial-contraction" if self.germ.rho_one else "pending-rho"
 
     def to_json(self) -> dict:
         return {
@@ -184,32 +233,16 @@ class ContractionRecord(NamedTuple):
             "ambient": list(self.ambient),
             "E_equation": poly_to_json(self.E_equation),
             "E_equation_str": format_poly(self.E_equation, ("X", "Y", "Z", "T")),
-            "semistable_ok": self.semistable_ok,
+            "semistable_ok": True,  # an unstable weight has no record
             "contraction_status": self.contraction_status,
         }
 
 
 def _contraction(germ: GermSpec, w0: WeightVector) -> ContractionRecord | None:
     """The record of w0, trusted to be admissible, or None when w(t*g) < w(f)."""
-    d = w0.denominator
-    lam_scaled = scaled_valuation(w0, germ.f)
-    if germ.tg.is_zero:
-        piece = SparsePoly()
-    elif scaled_valuation(w0, germ.tg) < lam_scaled:
-        return None
-    else:
-        piece = scaled_graded_piece(w0, germ.tg, lam_scaled)  # t * g_(lam-1)
-    return ContractionRecord(
-        germ=germ,
-        w0=w0,
-        lam=Fraction(lam_scaled, d),
-        # w(f + t*g) = lam, so d*(sum(w0, 1) - w(f + t*g) - 1) = sum(a_i) - d*lam
-        discrepancy=Fraction(sum(w0.numerators) - lam_scaled, d),
-        ambient=(*w0.numerators, d),
-        E_equation=germ.f + piece,
-        semistable_ok=True,
-        contraction_status="divisorial-contraction" if germ.rho_one else "pending-rho",
-    )
+    if germ.tg.is_zero or scaled_valuation(w0, germ.tg) >= scaled_valuation(w0, germ.f):
+        return ContractionRecord(germ, w0)
+    return None
 
 
 def build_contraction(germ: GermSpec, w0: WeightVector) -> ContractionRecord:
@@ -219,9 +252,7 @@ def build_contraction(germ: GermSpec, w0: WeightVector) -> ContractionRecord:
     rejects the pair when w(t*g) < w(f): the witnessing monomial is carried
     on the raised SemistabilityViolation.
     """
-    ok, reason = is_admissible(germ, w0)
-    if not ok:
-        raise NonAdmissibleWeight(reason)
+    _check_admissible(germ, w0)
     record = _contraction(germ, w0)
     if record is None:
         d = w0.denominator

@@ -1,24 +1,27 @@
 """Index-one cover bookkeeping for a contraction record.
 
-Write the discrepancy as a = a1/d in lowest terms; then d divides the germ
-index n, e = n/d, and the cover of the blowup is the weighted blowup of the
-same equation in plain affine space with the integral weights d*(w0, 1).
-The covered exceptional divisor has discrepancy
+Write w0 = (1/d)(a1, a2, a3) in lowest terms, for a weight admissible for
+a germ of index n.  Then d divides n, e = n/d, and the discrepancy a(E) has
+exact denominator d: in case T it is a3/d, and membership of w0 in
+Z^3 + Z*(1/n)(1,-1,a) makes a1 and a3 units mod d and d | n (the proof is
+in the contractions module docstring); in the D and E cases n = d = 1.
+The cover of the blowup is the weighted blowup of the same equation in
+plain affine space with the integral weights d*(w0, 1) = (a1, a2, a3, d),
+the record's `ambient`.  The covered exceptional divisor has discrepancy
 
-    a~ = a*d + d - 1        (Riemann-Hurwitz ramification along E),
+    a~ = a(E)*d + d - 1        (Riemann-Hurwitz ramification along E),
 
-which verify_cover recomputes independently as
-sum(lifted weights) - w~(f + t*g) - 1 on the cover.  Only numerical data is
-kept; the cover is never built as a variety.
+and a(E)*d is the numerator of a(E).  verify_cover recomputes a~
+independently as sum(lifted weights) - w~(f + t*g) - 1 on the cover; for a
+hand-built record with w(t*g) < w(f) that value is larger, so the check
+fails.  Only numerical data is kept; the cover is never built as a variety.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .contractions import ContractionRecord
-from .errors import InternalError
-from .lattices import ratio_to_str
+from .contractions import ContractionRecord, _check_admissible
 from .polynomials import valuation_with_weights
 
 
@@ -38,25 +41,17 @@ class CoverData(NamedTuple):
 
 
 def cover_data(record: ContractionRecord) -> CoverData:
-    """Cover degree, lifted weights, and the covered discrepancy a*d + d - 1.
+    """Cover degree, lifted weights, and the covered discrepancy a(E)*d + d - 1.
 
-    Runs on integers: the weights (w0, 1) are (a1, a2, a3, den)/den, so the
-    lifted weights are d*a_i/den, and a*d is the discrepancy's numerator.
+    Raises NonAdmissibleWeight when the record's w0 is not admissible for
+    its germ; the rest are the closed forms of the module docstring.
     """
-    d = record.discrepancy.denominator
-    n = record.germ.n
-    if n % d:
-        raise InternalError(f"the discrepancy denominator {d} must divide the index {n}")
-    den = record.w0.denominator
-    lifted = []
-    for c in (*record.w0.numerators, den):
-        if d * c % den:
-            raise InternalError(f"lifted weight {ratio_to_str(d * c, den)} must be integral")
-        lifted.append(d * c // den)
+    _check_admissible(record.germ, record.w0)
+    d = record.w0.denominator
     return CoverData(
         d=d,
-        e=n // d,
-        lifted_weights=tuple(lifted),
+        e=record.germ.n // d,
+        lifted_weights=record.ambient,
         covered_discrepancy=record.discrepancy.numerator + d - 1,
     )
 

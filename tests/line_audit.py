@@ -38,10 +38,6 @@ GATES = (
 INVARIANT = "InternalError invariant: no input reaches it"
 TYPING = "TYPE_CHECKING import: never runs"
 CHILD = "only a child process runs it (subprocess test)"
-HAND_BUILT = (
-    "not an invariant: a hand-built record whose discrepancy does not fit its weight "
-    "reaches it; a known gap that no test exercises"
-)
 
 # module file -> stripped source line -> why the suite never runs it
 ALLOWED: dict[str, dict[str, str]] = {
@@ -53,9 +49,6 @@ ALLOWED: dict[str, dict[str, str]] = {
         "os.dup2(devnull, sys.stdout.fileno())": CHILD,
         "return EXIT_BROKEN_PIPE": CHILD,
         "sys.exit(main())": CHILD,
-    },
-    "cover.py": {
-        'raise InternalError(f"lifted weight {ratio_to_str(d * c, den)} must be integral")': HAND_BUILT,
     },
     "lattices.py": {
         'raise InternalError(f"fibre quotient 1/{r}(1,{q}) is not normalized")': INVARIANT,

@@ -198,7 +198,7 @@ def test_criterion_7_invariant_sweep():
     for record in records:
         germ = record.germ
         assert record.discrepancy > 0
-        assert record.semistable_ok
+        assert ss.verify_cover(record)
         if not germ.tg.is_zero:
             assert min(_monomial_weights(record.w0, germ.tg)) >= record.lam
         lattice = germ.weight_lattice

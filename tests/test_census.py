@@ -226,8 +226,10 @@ INDEX_FIVE = record_T(5, 2, 1, ((3, 2, 1), 5))
     ],
 )
 def test_census_rejects_a_hand_built_weight(w0, reason):
-    with pytest.raises(ss.NonAdmissibleWeight, match=reason):
-        ss.census(INDEX_FIVE._replace(w0=w0))
+    record = INDEX_FIVE._replace(w0=w0)
+    for check in (ss.census, ss.cover_data):
+        with pytest.raises(ss.NonAdmissibleWeight, match=reason):
+            check(record)
 
 
 @pytest.mark.parametrize("t_power", [3, 4])
@@ -237,11 +239,14 @@ def test_census_rejects_a_hand_built_unstable_pair(t_power):
     germ = ss.validate_germ(
         {"n": 1, "a": 0, "case": "T", "k": 1, "g": [{"coeff": "1", "exp": [0, 0, 0, t_power - 1]}]}
     )
-    for check in (lambda: ss.census(record._replace(germ=germ)),
+    unstable = record._replace(germ=germ)
+    for check in (lambda: ss.census(unstable),
                   lambda: ss.build_contraction(germ, record.w0)):
         with pytest.raises(ss.SemistabilityViolation) as info:
             check()
         assert info.value.witness == (0, 0, 0, t_power)
+    # the cover recomputes w(f + t*g) = w(t*g) < w(f) and disagrees with the formula
+    assert not ss.verify_cover(unstable)
 
 
 @st.composite

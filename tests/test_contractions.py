@@ -151,7 +151,7 @@ def test_build_contraction_zero_perturbation_keeps_f():
     germ = germ_T(1, 0, 2)
     record = ss.build_contraction(germ, WeightVector((1, 3, 2)))
     assert record.E_equation == germ.f
-    assert record.semistable_ok
+    assert ss.verify_cover(record)
 
 
 def test_E_equation_is_homogeneous_of_weight_lambda():

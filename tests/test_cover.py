@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 
 import semistable as ss
@@ -61,6 +60,15 @@ def test_cover_fixture_family_is_insensitive_to_t_order():
         assert ss.verify_cover(record)
 
 
+def assert_closed_forms(record, data):
+    # d is the denominator of both w0 and the discrepancy, which is a3/d in case T
+    d = record.w0.denominator
+    assert record.discrepancy.denominator == d == data.d
+    assert data.lifted_weights == record.ambient
+    if record.germ.case == "T":
+        assert record.discrepancy == Fraction(record.w0.numerators[2], d)
+
+
 def test_cover_sweep_over_enumerations():
     for n, a in [(2, 1), (3, 1), (3, 2), (5, 2)]:
         for k in (1, 2):
@@ -68,6 +76,7 @@ def test_cover_sweep_over_enumerations():
             for w in ss.admissible_weights_T(n, a, k, 4):
                 record = ss.build_contraction(germ, w)
                 data = ss.cover_data(record)
+                assert_closed_forms(record, data)
                 assert n % data.d == 0
                 assert data.e * data.d == n
                 assert Fraction(record.discrepancy * data.d).denominator == 1
@@ -80,15 +89,7 @@ def test_cover_sweep_over_enumerations():
 @given(reduced_T_records())
 def test_cover_holds_on_random_records(record):
     data = ss.cover_data(record)
+    assert_closed_forms(record, data)
     assert data.covered_discrepancy == record.discrepancy * data.d + data.d - 1
     assert ss.verify_cover(record, data)
 
-
-def test_inconsistent_record_raises_internal_error():
-    # a discrepancy with denominator 3 cannot come from an index-2 germ
-    germ = germ_T(2, 1, 1, [{"coeff": "1", "exp": [0, 0, 0, 2]}])
-    record = ss.build_contraction(germ, WeightVector((1, 5, 3), 2))
-    broken = record._replace(discrepancy=Fraction(4, 3))
-    with pytest.raises(ss.InternalError):
-        ss.cover_data(broken)
-    assert not issubclass(ss.InternalError, (ValueError, ss.DomainRejection))

@@ -52,10 +52,7 @@ CASES = {
     "ContractionRecord": (
         record,
         f"ContractionRecord(germ={GERM_REPR}, "
-        "w0=WeightVector(numerators=(1, 5, 3), denominator=2), lam=Fraction(3, 1), "
-        "discrepancy=Fraction(3, 2), ambient=(1, 5, 3, 2), "
-        "E_equation=SparsePoly(x*y + z^2 + t^3), semistable_ok=True, "
-        "contraction_status='pending-rho')",
+        "w0=WeightVector(numerators=(1, 5, 3), denominator=2))",
     ),
     "CoverData": (
         lambda: ss.cover_data(record()),
@@ -121,6 +118,19 @@ def test_germ_cached_properties_survive():
     fresh = ss.validate_germ(QUADRIC)  # nothing cached yet
     assert germ == fresh and hash(germ) == hash(fresh)
     assert fresh.equation == equation
+
+
+def test_record_reads_its_values_off_germ_and_weight():
+    value = record()
+    assert type(value)._fields == ("germ", "w0")
+    assert value.lam == 3 and value.discrepancy == Fraction(3, 2)
+    assert value.ambient == (1, 5, 3, 2)
+    assert repr(value.E_equation) == "SparsePoly(x*y + z^2 + t^3)"
+    assert value.contraction_status == "pending-rho"
+    assert value.E_equation is value.E_equation  # built once
+    # a replaced weight carries no stale cached value
+    other = value._replace(w0=ss.WeightVector((1, 1, 1), 2))
+    assert other.lam == 1 and other.discrepancy == Fraction(1, 2)
 
 
 LOADING_SCRIPT = """
@@ -207,6 +217,8 @@ def test_source_has_no_assert_statement():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} has assert statements at lines {lines}"
+    # an invariant is not a rejection of input
+    assert not issubclass(ss.InternalError, (ValueError, ss.DomainRejection))
 
 
 def test_unknown_package_name_raises_attribute_error():
