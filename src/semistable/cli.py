@@ -97,6 +97,8 @@ def cmd_classify(args) -> int:
     from .polynomials import SparsePoly, format_poly
     from .resolution import duval_graph, resolve_cyclic
 
+    if args.trunc_order is not None and not args.probe:
+        raise CliParseError("--trunc-order needs --probe")
     germ = _load_germ(args.spec)
     fibre = fibre_singularity(germ)
     iso = (
@@ -284,7 +286,7 @@ def build_parser() -> Parser:
     p.add_argument("--probe", action="store_true", help="run the isolatedness probe")
     p.add_argument(
         "--trunc-order", type=natural, default=None,
-        help="truncate t*g at this t-order before probing",
+        help="truncate t*g at this t-order before probing (needs --probe)",
     )
 
     p = add("enumerate", cmd_enumerate, "list all contraction records within a bound")

@@ -30,12 +30,14 @@ so a1 is a unit mod d and d | n.  So a, a unit mod n, is one mod d, and so
 is a3 = a*a1 (mod d).  In the D and E cases w0 is integral and d = 1.  The
 cover module builds on this.
 
-Each weight is decided once, by the private core `_contraction`: the
-semistability test, which yields the record or None when w(t*g) < w(f).
-Enumeration runs it on the weights the scan yields, admissible by
-construction; `build_contraction` checks admissibility first
-(`_check_admissible`, shared with the census and the cover) and raises
-SemistabilityViolation for a None.  All of it runs on integers
+A record is checked once, when it is built: `ContractionRecord(germ, w0)`
+raises NonAdmissibleWeight for a weight `is_admissible` refuses and
+SemistabilityViolation when w(t*g) < w(f), and `_replace`, `copy` and
+`pickle` all build through it, so every record that exists is admissible
+and semistable and no consumer checks it again.  Enumeration decides each
+scanned weight, admissible by construction, with the private predicate
+`_semistable`, and builds records only for the weights that pass, so a
+rejected weight formats no message.  All of it runs on integers
 (valuations scaled by the weight denominator d, see the polynomials
 module); `Fraction(scaled, d)` is built only where a record is read.
 """
@@ -170,11 +172,9 @@ def is_admissible(germ: GermSpec, w0: WeightVector) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_admissible(germ: GermSpec, w0: WeightVector) -> None:
-    """Raise NonAdmissibleWeight, with its reason, for a weight `is_admissible` refuses."""
-    ok, reason = is_admissible(germ, w0)
-    if not ok:
-        raise NonAdmissibleWeight(reason)
+def _semistable(germ: GermSpec, w0: WeightVector) -> bool:
+    """Whether w(t*g) >= w(f), for a weight trusted to be admissible."""
+    return germ.tg.is_zero or scaled_valuation(w0, germ.tg) >= scaled_valuation(w0, germ.f)
 
 
 class _ContractionFields(NamedTuple):
@@ -190,10 +190,30 @@ class ContractionRecord(_ContractionFields):
     piece of g in weight lam - 1 (possibly zero) and lam = w(f).  lam and E
     are built once per record, on first use, and cached in the instance
     __dict__ (so this subclass declares no __slots__), which equality and
-    hashing never read.  `build_contraction` and `enumerate_contractions`
-    return only admissible, semistable records; a hand-built one is checked
-    where it is used (`census`, `cover_data`, `verify_cover`).
+    hashing never read.  Construction checks the pair: NonAdmissibleWeight
+    for a weight `is_admissible` refuses, SemistabilityViolation (with the
+    witness monomial) when w(t*g) < w(f).
     """
+
+    def __new__(cls, germ: GermSpec, w0: WeightVector):
+        ok, reason = is_admissible(germ, w0)
+        if not ok:
+            raise NonAdmissibleWeight(reason)
+        if not _semistable(germ, w0):
+            d = w0.denominator
+            exp, coeff = min_weight_monomial(w0, germ.tg)
+            raise SemistabilityViolation(
+                f"w(t*g) = {ratio_to_str(scaled_valuation(w0, germ.tg), d)} < "
+                f"w(f) = {ratio_to_str(scaled_valuation(w0, germ.f), d)}; "
+                f"witness monomial {format_poly(SparsePoly.monomial(exp, coeff))}",
+                witness=exp,
+            )
+        return super().__new__(cls, germ, w0)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the checking constructor, so `_replace` checks too."""
+        return cls(*iterable)
 
     @cached_property
     def _scaled_lam(self) -> int:
@@ -238,32 +258,14 @@ class ContractionRecord(_ContractionFields):
         }
 
 
-def _contraction(germ: GermSpec, w0: WeightVector) -> ContractionRecord | None:
-    """The record of w0, trusted to be admissible, or None when w(t*g) < w(f)."""
-    if germ.tg.is_zero or scaled_valuation(w0, germ.tg) >= scaled_valuation(w0, germ.f):
-        return ContractionRecord(germ, w0)
-    return None
-
-
 def build_contraction(germ: GermSpec, w0: WeightVector) -> ContractionRecord:
-    """Assemble the contraction record for an admissible weight.
+    """The contraction record of an admissible, semistable weight.
 
     Raises NonAdmissibleWeight for a weight `is_admissible` refuses, and
-    rejects the pair when w(t*g) < w(f): the witnessing monomial is carried
-    on the raised SemistabilityViolation.
+    SemistabilityViolation, carrying the witness monomial, when
+    w(t*g) < w(f).
     """
-    _check_admissible(germ, w0)
-    record = _contraction(germ, w0)
-    if record is None:
-        d = w0.denominator
-        exp, coeff = min_weight_monomial(w0, germ.tg)
-        raise SemistabilityViolation(
-            f"w(t*g) = {ratio_to_str(scaled_valuation(w0, germ.tg), d)} < "
-            f"w(f) = {ratio_to_str(scaled_valuation(w0, germ.f), d)}; "
-            f"witness monomial {format_poly(SparsePoly.monomial(exp, coeff))}",
-            witness=exp,
-        )
-    return record
+    return ContractionRecord(germ, w0)
 
 
 def enumerate_contractions(germ: GermSpec, bound=None):
@@ -282,12 +284,11 @@ def enumerate_contractions(germ: GermSpec, bound=None):
     else:
         weights = [fixed_weights_DE(germ.case, germ.m)]
     records, rejected = [], []
-    for w in weights:  # admissible by construction: each is decided once
-        record = _contraction(germ, w)
-        if record is None:
-            rejected.append((w, min_weight_monomial(w, germ.tg)[0]))
+    for w in weights:  # admissible by construction; a rejected weight formats no message
+        if _semistable(germ, w):
+            records.append(ContractionRecord(germ, w))
         else:
-            records.append(record)
+            rejected.append((w, min_weight_monomial(w, germ.tg)[0]))
     # weights arrive sorted, so a stable sort by lambda orders by (lambda, w0)
     records.sort(key=lambda r: r.lam)
     return records, rejected

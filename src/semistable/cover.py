@@ -12,16 +12,15 @@ the record's `ambient`.  The covered exceptional divisor has discrepancy
     a~ = a(E)*d + d - 1        (Riemann-Hurwitz ramification along E),
 
 and a(E)*d is the numerator of a(E).  verify_cover recomputes a~
-independently as sum(lifted weights) - w~(f + t*g) - 1 on the cover; for a
-hand-built record with w(t*g) < w(f) that value is larger, so the check
-fails.  Only numerical data is kept; the cover is never built as a variety.
+independently as sum(lifted weights) - w~(f + t*g) - 1 on the cover.  Only
+numerical data is kept; the cover is never built as a variety.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .contractions import ContractionRecord, _check_admissible
+from .contractions import ContractionRecord
 from .polynomials import valuation_with_weights
 
 
@@ -43,10 +42,8 @@ class CoverData(NamedTuple):
 def cover_data(record: ContractionRecord) -> CoverData:
     """Cover degree, lifted weights, and the covered discrepancy a(E)*d + d - 1.
 
-    Raises NonAdmissibleWeight when the record's w0 is not admissible for
-    its germ; the rest are the closed forms of the module docstring.
+    Each is a closed form of the module docstring.
     """
-    _check_admissible(record.germ, record.w0)
     d = record.w0.denominator
     return CoverData(
         d=d,

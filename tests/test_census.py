@@ -226,27 +226,30 @@ INDEX_FIVE = record_T(5, 2, 1, ((3, 2, 1), 5))
     ],
 )
 def test_census_rejects_a_hand_built_weight(w0, reason):
-    record = INDEX_FIVE._replace(w0=w0)
-    for check in (ss.census, ss.cover_data):
-        with pytest.raises(ss.NonAdmissibleWeight, match=reason):
-            check(record)
+    # no record of an inadmissible weight exists for the census or the cover to see
+    _, expected = ss.is_admissible(INDEX_FIVE.germ, w0)
+    for build in (lambda: INDEX_FIVE._replace(w0=w0),
+                  lambda: ss.ContractionRecord(INDEX_FIVE.germ, w0)):
+        with pytest.raises(ss.NonAdmissibleWeight, match=reason) as info:
+            build()
+        assert str(info.value) == expected
 
 
 @pytest.mark.parametrize("t_power", [3, 4])
 def test_census_rejects_a_hand_built_unstable_pair(t_power):
-    # t*g = t^3 or t^4 lies below w(f) = 5 for w0 = (1, 4, 5); build_contraction refuses it too
+    # t*g = t^3 or t^4 lies below w(f) = 5 for w0 = (1, 4, 5): no record of the pair exists
     record = record_T(1, 0, 1, ((1, 4, 5),))
     germ = ss.validate_germ(
         {"n": 1, "a": 0, "case": "T", "k": 1, "g": [{"coeff": "1", "exp": [0, 0, 0, t_power - 1]}]}
     )
-    unstable = record._replace(germ=germ)
-    for check in (lambda: ss.census(unstable),
+    messages = set()
+    for build in (lambda: record._replace(germ=germ),
                   lambda: ss.build_contraction(germ, record.w0)):
         with pytest.raises(ss.SemistabilityViolation) as info:
-            check()
+            build()
         assert info.value.witness == (0, 0, 0, t_power)
-    # the cover recomputes w(f + t*g) = w(t*g) < w(f) and disagrees with the formula
-    assert not ss.verify_cover(unstable)
+        messages.add(str(info.value))
+    assert messages == {f"w(t*g) = {t_power} < w(f) = 5; witness monomial t^{t_power}"}
 
 
 @st.composite

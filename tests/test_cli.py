@@ -117,6 +117,13 @@ def test_negative_trunc_order_is_parse_failure(germ_file, capsys):
     assert "--trunc-order: invalid natural value: '-1'" in capsys.readouterr().err
 
 
+def test_trunc_order_without_probe_is_parse_failure(germ_file, capsys):
+    assert main(["classify", germ_file(QUADRIC), "--trunc-order", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --trunc-order needs --probe\n"
+
+
 def test_closed_stdout_exits_1_without_traceback(germ_file):
     """A reader that stops early (`| head -1`) ends the run with exit 1 and an empty stderr."""
     path = germ_file({"n": 5, "a": 2, "case": "T", "k": 1, "g": []})  # ~390 kB of text

@@ -229,7 +229,7 @@ LOWER = germ_T(1, 0, 2, [{"coeff": "1", "exp": [0, 0, 0, 4]}, {"coeff": "1", "ex
 @example(TIED, 3)
 @example(LOWER, 3)
 def test_enumeration_decides_each_weight_as_build_contraction_does(germ, bound):
-    # enumeration trusts its scan; build_contraction checks every weight anew
+    # enumeration tests semistability on its scan, then builds through the checking constructor
     records, rejected = ss.enumerate_contractions(germ, bound)
     scanned = ss.admissible_weights_T(germ.n, germ.a, germ.k, bound)
     decided = [r.w0 for r in records] + [w for w, _ in rejected]

@@ -8,8 +8,10 @@ public surface is pinned name by name, and the sources hold no `assert`.
 """
 
 import ast
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -131,6 +133,26 @@ def test_record_reads_its_values_off_germ_and_weight():
     # a replaced weight carries no stale cached value
     other = value._replace(w0=ss.WeightVector((1, 1, 1), 2))
     assert other.lam == 1 and other.discrepancy == Fraction(1, 2)
+
+
+def test_every_way_to_a_record_checks_it():
+    germ = ss.validate_germ({"n": 5, "a": 2, "case": "T", "k": 1, "g": []})
+    records, _ = ss.enumerate_contractions(germ, 2)
+    value = records[-1]
+    assert value.E_equation is not None  # a cached value travels in __dict__
+    for clone in (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value))):
+        assert type(clone) is ss.ContractionRecord
+        assert clone == value and clone.E_equation == value.E_equation
+    # `_replace` builds through `_make`; tests/test_census.py feeds it bad weights
+    with pytest.raises(ss.NonAdmissibleWeight, match="does not lie in"):
+        ss.ContractionRecord._make((germ, ss.WeightVector((1, 4, 1), 5)))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+def test_copy_replace_checks_a_record():
+    with pytest.raises(ss.NonAdmissibleWeight, match="not homogeneous"):
+        copy.replace(record(), w0=ss.WeightVector((1, 1, 2)))
 
 
 LOADING_SCRIPT = """
