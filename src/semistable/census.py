@@ -90,8 +90,8 @@ def reduced_g_coefficients(record: ContractionRecord) -> ReducedPerturbation:
     """The c_i and the series index of the record's perturbation.
 
     Raises DomainRejection outside case T, and UnsupportedForm when t*g has
-    monomials off the reduced grid (involving x or y, or z-exponents that
-    are not i*n with i <= k-1).
+    monomials off the reduced grid: x or y, or z^kz with kz > (k-1)*n (n
+    divides kz, as t*g is invariant and a is a unit mod n).
     """
     germ = record.germ
     if germ.case != "T":
@@ -108,10 +108,6 @@ def reduced_g_coefficients(record: ContractionRecord) -> ReducedPerturbation:
             raise UnsupportedForm(
                 f"monomial with exponents {(i, j, kz, l)} involves x or y; "
                 "the census needs the reduced shape t*g = sum b_i z^(i*n) t^((k-i)*e*a3)"
-            )
-        if kz % n != 0:
-            raise UnsupportedForm(
-                f"z-exponent {kz} is off the z^{n} grid of the reduced shape"
             )
         idx = kz // n
         if idx > i_max:

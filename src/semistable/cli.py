@@ -270,10 +270,9 @@ def build_parser() -> Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, spec=True, weights=False):
+    def add(name, func, help_text, weights=False):
         p = sub.add_parser(name, help=help_text)
-        if spec:
-            p.add_argument("spec", help="path to a germ JSON file")
+        p.add_argument("spec", help="path to a germ JSON file")
         if weights:
             p.add_argument(
                 "--weights", required=True, help="blowup weights a1,a2,a3[/d]"

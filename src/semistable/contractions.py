@@ -36,8 +36,8 @@ SemistabilityViolation when w(t*g) < w(f), and `_replace`, `copy` and
 `pickle` all build through it, so every record that exists is admissible
 and semistable and no consumer checks it again.  Enumeration decides each
 scanned weight, admissible by construction, with the private predicate
-`_semistable`, and builds records only for the weights that pass, so a
-rejected weight formats no message.  All of it runs on integers
+`_semistable`, so a rejected weight formats no message; the constructor
+checks each weight that passes again.  All of it runs on integers
 (valuations scaled by the weight denominator d, see the polynomials
 module); `Fraction(scaled, d)` is built only where a record is read.
 """
@@ -54,9 +54,9 @@ from .errors import DomainRejection, NonAdmissibleWeight, SemistabilityViolation
 from .germs import GermSpec
 from .lattices import (
     WeightVector,
+    _Checked,
     _coordinates,
     _exact,
-    divisors,
     fraction_to_str,
     ratio_to_str,
 )
@@ -78,7 +78,8 @@ _MAX_SCAN = 100_000
 def admissible_weights_T(n: int, a: int, k: int, bound) -> list[WeightVector]:
     """All admissible case-T weights with max entry (1/d)*a_i <= bound.
 
-    For every divisor d of n, scans the positive solutions of
+    For every divisor d = n/e of n with e <= 2*bound/k (no other d has a
+    row, as k*n <= a1 + a2 <= 2*d*bound), scans the positive solutions of
     a1 + a2 = k*n*a3 with entries <= d*bound.  Lattice membership of
     (a1, a2, a3)/d is a3 = a*a1 (mod d) once d | a1 + a2, so a1 only runs
     over the residue class a^(-1)*a3 mod d.  Coprime entries make d the
@@ -97,16 +98,20 @@ def admissible_weights_T(n: int, a: int, k: int, bound) -> list[WeightVector]:
     bound = Fraction(_exact(bound))
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    scans = []
-    for d in divisors(n):
-        cap = int(d * bound)  # entries a_i <= d*bound
-        scans.append((d, cap, min(cap, 2 * cap // (k * n))))  # k*n*a3 = a1 + a2 <= 2*cap
-    work = sum(rows * (cap // d + 1) for d, cap, rows in scans)
-    if work > _MAX_SCAN:
-        raise DomainRejection(f"bound {bound} spans {work} candidates, over the limit {_MAX_SCAN}")
+    scans, work = [], 0
+    for e in range(1, min(n, int(2 * bound / k)) + 1):
+        if n % e == 0:
+            d = n // e
+            cap = int(d * bound)  # entries a_i <= d*bound
+            rows = min(cap, 2 * cap // (k * n))  # k*n*a3 = a1 + a2 <= 2*cap
+            work += rows * (cap // d + 1)
+            if work > _MAX_SCAN:  # stop the walk: the range of e can be huge
+                raise DomainRejection(
+                    f"bound {bound} spans {work} candidates, over the limit {_MAX_SCAN}"
+                )
+            scans.append((d, e, cap, rows))
     found = []
-    for d, cap, rows in scans:
-        e = n // d
+    for d, e, cap, rows in scans:
         a_inverse = pow(a, -1, d)
         for a3 in range(1, rows + 1):
             total = k * n * a3
@@ -182,7 +187,7 @@ class _ContractionFields(NamedTuple):
     w0: WeightVector
 
 
-class ContractionRecord(_ContractionFields):
+class ContractionRecord(_Checked, _ContractionFields):
     """The weighted blowup of a germ with weights (w0, 1), and its exceptional divisor.
 
     E lives in the weighted projective space P(a1, a2, a3, d) and is cut out
@@ -209,11 +214,6 @@ class ContractionRecord(_ContractionFields):
                 witness=exp,
             )
         return super().__new__(cls, germ, w0)
-
-    @classmethod
-    def _make(cls, iterable):
-        """Build through the checking constructor, so `_replace` checks too."""
-        return cls(*iterable)
 
     @cached_property
     def _scaled_lam(self) -> int:

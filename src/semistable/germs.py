@@ -14,16 +14,16 @@ There is also the non-normal-fibre germ
 
     N      f = xy,  n arbitrary, gcd(a, n) = 1,
 
-whose special fibre (xy = 0) is a pair of planes; the validator accepts it
-for classification display, but it admits no contraction enumeration (the
+whose special fibre (xy = 0) is a pair of planes; GermSpec accepts it for
+classification display, but it admits no contraction enumeration (the
 classification assumes a normal fibre).
 
-The validator takes inputs already in normal form; it performs no analytic
-coordinate changes.  Case T with a "-" sign on z^(k*n) is accepted and
-normalized to "+" (the two presentations agree after a unit rescaling of z
-over an algebraically closed field).  The fibre of a case-T germ is the
-cyclic quotient surface  A^2_{u,v} / (1/(k*n^2))(1, k*n*a - 1)  under the
-monomial dictionary x = u^(kn), y = v^(kn), z = uv.
+GermSpec takes germs already in normal form; it performs no analytic
+coordinate changes.  The JSON reader accepts case T with a "-" sign on
+z^(k*n) and normalizes it to "+" (the two presentations agree after a unit
+rescaling of z over an algebraically closed field).  The fibre of a case-T
+germ is the cyclic quotient surface  A^2_{u,v} / (1/(k*n^2))(1, k*n*a - 1)
+under the monomial dictionary x = u^(kn), y = v^(kn), z = uv.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import GermRejection
-from .lattices import QuotientLattice, _exact, fibre_quotient, mu_n_character
+from .lattices import QuotientLattice, _Checked, _exact, fibre_quotient, mu_n_character
 from .polynomials import SparsePoly, poly_from_json, poly_to_json
 
 CASES = ("T", "D", "E6", "E7", "E8", "N")
@@ -69,13 +69,62 @@ class _GermFields(NamedTuple):
     rho_one: bool = False
 
 
-class GermSpec(_GermFields):
-    """A validated germ: index n, action weight a on z, case data, perturbation t*g.
+class GermSpec(_Checked, _GermFields):
+    """A germ in normal form: index n, action weight a on z, case data, perturbation t*g.
+
+    The constructor takes ints (not bools) n, a, k, m, a SparsePoly tg and
+    a bool rho_one (else TypeError).  It checks n >= 1, gcd(a, n) = 1, the
+    case parameters, that t divides tg and that t*g is invariant under
+    1/n(1,-1,a,0), as every normal form f is (else GermRejection), and
+    stores a mod n.  Isolatedness is only asserted (see isolatedness_probe).
 
     f, g and the equation f + t*g are built once per germ, on first use.
     They are cached in the instance __dict__ (so this subclass declares no
     __slots__), which equality and hashing never read.
     """
+
+    def __new__(cls, n, a, case, k, m, tg, rho_one=False):
+        for value in (n, a, k, m):
+            if value is not None:
+                _exact(value, integral=True)
+        if not isinstance(tg, SparsePoly):
+            raise TypeError(f"tg must be a SparsePoly, got {tg!r}")
+        if type(rho_one) is not bool:
+            raise TypeError(f"rho_one must be a bool, got {rho_one!r}")
+        if n < 1:
+            raise GermRejection(f"index n must be positive, got {n}")
+        if gcd(a, n) != 1:
+            raise GermRejection(f"gcd(a, n) must be 1, got a={a}, n={n}")
+        a %= n
+        if case not in CASES:
+            raise GermRejection(f"case must be one of {CASES}, got {case!r}")
+        if case == "T":
+            if k is None or k < 1:
+                raise GermRejection("case T needs an integer k >= 1")
+        elif case != "N":
+            if n != 1:
+                raise GermRejection(f"case {case} exists only at index 1")
+            if case == "D" and (m is None or m < 4):
+                raise GermRejection("case D needs an integer m >= 4")
+            if case != "D" and m is not None:
+                raise GermRejection(f"case {case} takes no parameter m")
+        if case != "T" and k is not None:
+            raise GermRejection(f"case {case} takes no parameter k")
+        if case == "N" and m is not None:
+            raise GermRejection("case N takes no parameter m")
+        for exp, _ in tg.items():
+            if exp[3] < 1:
+                raise GermRejection(
+                    f"perturbation monomial {exp} is not divisible by t; "
+                    "it enters the germ only as t*g"
+                )
+        lattice = QuotientLattice(n, a)
+        bad = next((e for e, _ in tg.items() if mu_n_character(lattice, e)), None)
+        if bad is not None:
+            raise GermRejection(
+                f"perturbation is not invariant: monomial {bad} has nonzero character"
+            )
+        return super().__new__(cls, n, a, case, k, m, tg, rho_one)
 
     @cached_property
     def f(self) -> SparsePoly:
@@ -89,10 +138,6 @@ class GermSpec(_GermFields):
     def equation(self) -> SparsePoly:
         """The total-space equation f + t*g."""
         return self.f + self.tg
-
-    @property
-    def weight_lattice(self) -> QuotientLattice:
-        return QuotientLattice(self.n, self.a)
 
     def to_json(self) -> dict:
         out = {
@@ -119,7 +164,14 @@ def _json_int(value, name: str) -> int:
     return value
 
 
-def _parse_raw(raw) -> GermSpec:
+def validate_germ(raw) -> GermSpec:
+    """Read a germ from its JSON object; a GermSpec, valid by construction, is returned as is.
+
+    A key outside _GERM_KEYS or a value of the wrong JSON type raises
+    GermRejection, never a coercion; GermSpec checks the rest.
+    """
+    if isinstance(raw, GermSpec):
+        return raw
     if not isinstance(raw, dict):
         raise GermRejection("germ input must be a JSON object")
     unknown = [key for key in raw if key not in _GERM_KEYS]
@@ -137,68 +189,14 @@ def _parse_raw(raw) -> GermSpec:
     sign = raw.get("sign", "+")
     if sign not in ("+", "-"):
         raise GermRejection(f"sign must be '+' or '-', got {sign!r}")
-    g_data = raw.get("g", [])
     try:
-        g = poly_from_json(g_data)
+        g = poly_from_json(raw.get("g", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise GermRejection(f"malformed perturbation g: {exc}") from None
     rho_one = raw.get("rho_one", False)
     if type(rho_one) is not bool:
         raise GermRejection(f"rho_one must be true or false, got {rho_one!r}")
     return GermSpec(n=n, a=a, case=case, k=k, m=m, tg=g.times_t(), rho_one=rho_one)
-
-
-def validate_germ(raw) -> GermSpec:
-    """Validate a raw germ (JSON-shaped dict or GermSpec) against the normal forms.
-
-    Checks gcd(a, n) = 1, the case parameters, that the perturbation enters
-    only through t*g, and that t*g is invariant under the 1/n(1,-1,a,0)
-    action (every normal form f is; tests/test_germs.py checks the table).
-    Isolatedness is not decided here (see isolatedness_probe); a validated
-    germ carries it as asserted.  Idempotent on valid input.
-    """
-    germ = raw if isinstance(raw, GermSpec) else _parse_raw(raw)
-    for value in (germ.n, germ.a, germ.k, germ.m):  # a GermSpec's too: ints, never bools
-        if value is not None:
-            _exact(value, integral=True)
-
-    if germ.n < 1:
-        raise GermRejection(f"index n must be positive, got {germ.n}")
-    if gcd(germ.a, germ.n) != 1:
-        raise GermRejection(f"gcd(a, n) must be 1, got a={germ.a}, n={germ.n}")
-    a = germ.a % germ.n if germ.n > 1 else 0
-    if germ.case not in CASES:
-        raise GermRejection(f"case must be one of {CASES}, got {germ.case!r}")
-    if germ.case == "T":
-        if germ.k is None or germ.k < 1:
-            raise GermRejection("case T needs an integer k >= 1")
-    elif germ.case != "N":
-        if germ.n != 1:
-            raise GermRejection(f"case {germ.case} exists only at index 1")
-        if germ.case == "D" and (germ.m is None or germ.m < 4):
-            raise GermRejection("case D needs an integer m >= 4")
-        if germ.case != "D" and germ.m is not None:
-            raise GermRejection(f"case {germ.case} takes no parameter m")
-    if germ.case != "T" and germ.k is not None:
-        raise GermRejection(f"case {germ.case} takes no parameter k")
-    if germ.case == "N" and germ.m is not None:
-        raise GermRejection("case N takes no parameter m")
-
-    for exp, _ in germ.tg.items():
-        if exp[3] < 1:
-            raise GermRejection(
-                f"perturbation monomial {exp} is not divisible by t; "
-                "it enters the germ only as t*g"
-            )
-
-    germ = germ._replace(a=a)
-    lattice = germ.weight_lattice
-    bad = next((e for e, _ in germ.tg.items() if mu_n_character(lattice, e)), None)
-    if bad is not None:
-        raise GermRejection(
-            f"perturbation is not invariant: monomial {bad} has nonzero character"
-        )
-    return germ
 
 
 class FibreQuotientData(NamedTuple):

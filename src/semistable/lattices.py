@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import DomainRejection, InternalError
@@ -76,10 +76,14 @@ def to_vector(entries, dim: int) -> Vector:
     return v
 
 
-def divisors(n: int) -> list[int]:
-    """The divisors of n >= 1, ascending, by trial division up to sqrt(n)."""
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
+class _Checked:
+    """A NamedTuple mixin: `_make`, so `_replace`, builds through the checking `__new__`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class _QuotientLatticeFields(NamedTuple):
@@ -87,7 +91,7 @@ class _QuotientLatticeFields(NamedTuple):
     a: int
 
 
-class QuotientLattice(_QuotientLatticeFields):
+class QuotientLattice(_Checked, _QuotientLatticeFields):
     """The weight lattice Z^3 + Z*(1/n)(1, -1, a) with gcd(a, n) = 1."""
 
     __slots__ = ()
@@ -165,7 +169,7 @@ class _WeightVectorFields(NamedTuple):
     denominator: int
 
 
-class WeightVector(_WeightVectorFields):
+class WeightVector(_Checked, _WeightVectorFields):
     """A fractional weight (1/d)(a1, a2, a3) on the chart coordinates x, y, z.
 
     Entries are strictly positive with gcd 1, so d is the exact common

@@ -29,7 +29,9 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import DomainRejection
-from .lattices import WeightVector, _coordinates, _exact, _scaled, fibre_quotient, to_vector
+from .lattices import (
+    WeightVector, _Checked, _coordinates, _exact, _scaled, fibre_quotient, to_vector,
+)
 
 Vector2 = tuple[Fraction, Fraction]
 
@@ -164,7 +166,7 @@ class _SurfaceConeFields(NamedTuple):
     q: int
 
 
-class SurfaceCone(_SurfaceConeFields):
+class SurfaceCone(_Checked, _SurfaceConeFields):
     """The quadrant cone in Z^2 + Z*(1/r)(1, q), i.e. the cyclic quotient 1/r(1, q)."""
 
     __slots__ = ()

@@ -201,7 +201,7 @@ def test_criterion_7_invariant_sweep():
         assert ss.verify_cover(record)
         if not germ.tg.is_zero:
             assert min(_monomial_weights(record.w0, germ.tg)) >= record.lam
-        lattice = germ.weight_lattice
+        lattice = ss.QuotientLattice(germ.n, germ.a)
         assert all(ss.mu_n_character(lattice, e) == 0 for e, _ in (germ.f + germ.tg).items())
         if germ.case == "T":
             a1, a2, a3 = record.w0.numerators

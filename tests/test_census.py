@@ -46,13 +46,9 @@ def test_reduced_rejects_off_grid_monomials():
         ss.reduced_g_coefficients(
             record_T(1, 0, 2, ((1, 1, 1),), [{"coeff": "1", "exp": [0, 0, 2, 2]}])
         )
-    # a z-power off the z^n grid never survives validation (it has nonzero
-    # character), so the refusal is exercised on a hand-built germ
-    bare = ss.GermSpec(n=2, a=1, case="T", k=2, m=None,
-                       tg=ss.SparsePoly({(0, 0, 1, 4): 1}))
-    record = ss.build_contraction(bare, WeightVector((1, 3, 1), 2))
-    with pytest.raises(ss.UnsupportedForm, match="grid"):
-        ss.reduced_g_coefficients(record)
+    # a z-power off the z^n grid has nonzero character, so no germ carries one
+    with pytest.raises(ss.GermRejection, match="not invariant"):
+        ss.GermSpec(n=2, a=1, case="T", k=2, m=None, tg=ss.SparsePoly({(0, 0, 1, 4): 1}))
 
 
 def test_reduced_tracks_series_tails():

@@ -49,7 +49,8 @@ def test_enumeration_examples():
 
 def test_enumeration_bound_zero_is_empty():
     assert ss.admissible_weights_T(1, 0, 2, 0) == []
-    assert ss.admissible_weights_T(10**7 + 1, 1, 1, 0) == []  # divisors run to sqrt(n)
+    # the scan walks e = n/d <= 2*bound/k, never the divisors of n
+    assert ss.admissible_weights_T(10**30 + 57, 1, 1, 0) == []
 
 
 def test_scan_work_is_bounded():

@@ -36,6 +36,7 @@ def test_validate_rejects_noninvariant_perturbation():
 def test_validate_normalizes_action_weight():
     germ = ss.validate_germ(raw_T(2, 3, 1))
     assert germ.a == 1
+    assert germ._replace(a=-1).a == 1
 
 
 def test_validate_accepts_either_sign():
@@ -72,10 +73,9 @@ def test_validate_case_parameters():
 
 
 def test_validate_rejects_t_free_perturbation():
-    bare = ss.GermSpec(n=1, a=0, case="T", k=2, m=None,
-                       tg=SparsePoly({(1, 0, 0, 0): 1}))
+    # the JSON reader makes t*g from g, so only a hand-built germ can lack the t
     with pytest.raises(ss.GermRejection, match="divisible by t"):
-        ss.validate_germ(bare)
+        ss.GermSpec(n=1, a=0, case="T", k=2, m=None, tg=SparsePoly({(1, 0, 0, 0): 1}))
 
 
 def test_validate_accepts_t_free_monomials_in_g():
@@ -88,12 +88,30 @@ def test_validate_accepts_t_free_monomials_in_g():
 
 def test_validate_idempotent():
     once = ss.validate_germ(QUADRIC)
-    twice = ss.validate_germ(once)
-    assert once == twice
+    assert ss.validate_germ(once) is once  # a GermSpec is valid by construction
+
+
+@pytest.mark.parametrize(
+    "fields, error, message",
+    [
+        (dict(n=3, a=1, case="E6", k=None, m=None, tg=SparsePoly()),
+         ss.GermRejection, "case E6 exists only at index 1"),
+        (dict(n=5, a=2, case="T", k=1, m=None, tg=SparsePoly({(0, 0, 1, 1): 1})),
+         ss.GermRejection, r"monomial \(0, 0, 1, 1\) has nonzero character"),
+        (dict(n=1, a=0, case="T", k=1, m=None, tg={(0, 0, 0, 1): 1}),
+         TypeError, "tg must be a SparsePoly"),
+        (dict(n=1, a=0, case="T", k=1, m=None, tg=SparsePoly(), rho_one=1),
+         TypeError, "rho_one must be a bool"),
+    ],
+    ids=["E6-index-3", "z*t-index-5", "dict-tg", "int-rho_one"],
+)
+def test_a_hand_built_germ_is_checked(fields, error, message):
+    with pytest.raises(error, match=message):
+        ss.GermSpec(**fields)
 
 
 def test_normal_forms_are_invariant():
-    # validate_germ checks t*g only: every normal form f of the table is invariant
+    # GermSpec checks t*g only: every normal form f of the table is invariant
     raws = [QUADRIC, raw_T(5, 2, 1), raw_T(1, 0, 4)]
     raws += [raw_T(n, a, k) for n in range(1, 13) for a in range(n) for k in (1, 2, 3)]
     raws += [{"n": n, "a": a, "case": "N", "g": []} for n in range(1, 13) for a in range(n)]
@@ -105,7 +123,7 @@ def test_normal_forms_are_invariant():
             continue
         germ = ss.validate_germ(raw)
         seen.add(germ.case)
-        lattice = germ.weight_lattice
+        lattice = ss.QuotientLattice(germ.n, germ.a)
         assert all(ss.mu_n_character(lattice, e) == 0 for e, _ in (germ.f + germ.tg).items())
     assert seen == set(ss.germs.CASES)
 

@@ -141,3 +141,12 @@ def test_scan_runtime_budget():
     elapsed = time.perf_counter() - start
     assert len(found) == 15583
     assert elapsed < 0.5, f"admissible_weights_T(5, 2, 1, 160) took {elapsed:.2f}s, budget 0.5s"
+    # the walk visits e = n/d <= 2*bound/k only, so a 31-digit index costs no more
+    n = 10**30 + 57
+    start = time.perf_counter()
+    found = ss.admissible_weights_T(n, 1, 1, 2)
+    elapsed = time.perf_counter() - start
+    assert found == [
+        ss.WeightVector(w, n) for w in ((1, n - 1, 1), (n + 2, n - 2, 2), (n + 3, 2 * n - 3, 3))
+    ]
+    assert elapsed < 0.1, f"admissible_weights_T(10**30 + 57, 1, 1, 2) took {elapsed:.3f}s"

@@ -112,7 +112,7 @@ def test_value_type_contract(name):
 
 
 def test_germ_cached_properties_survive():
-    germ = ss.validate_germ(QUADRIC)  # validate_germ normalizes a through _replace
+    germ = ss.validate_germ(QUADRIC)
     assert type(germ) is ss.GermSpec
     f, g, equation = germ.f, germ.g, germ.equation
     assert germ.f is f and germ.g is g and germ.equation is equation
@@ -144,15 +144,50 @@ def test_every_way_to_a_record_checks_it():
                   pickle.loads(pickle.dumps(value))):
         assert type(clone) is ss.ContractionRecord
         assert clone == value and clone.E_equation == value.E_equation
-    # `_replace` builds through `_make`; tests/test_census.py feeds it bad weights
-    with pytest.raises(ss.NonAdmissibleWeight, match="does not lie in"):
-        ss.ContractionRecord._make((germ, ss.WeightVector((1, 4, 1), 5)))
 
 
-@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
-def test_copy_replace_checks_a_record():
-    with pytest.raises(ss.NonAdmissibleWeight, match="not homogeneous"):
-        copy.replace(record(), w0=ss.WeightVector((1, 1, 2)))
+# a value of each checked type, a field that breaks its contract, and the error
+BAD_FIELD = {
+    "QuotientLattice": (
+        lambda: ss.QuotientLattice(5, 2), {"n": 0}, ValueError, "index n must be a positive",
+    ),
+    "WeightVector": (
+        lambda: ss.WeightVector((1, 5, 3), 2), {"denominator": 0}, ValueError,
+        "weight denominator must be positive",
+    ),
+    "SurfaceCone": (lambda: ss.SurfaceCone(5, 2), {"q": 5}, ValueError, "gcd"),
+    "GermSpec": (
+        lambda: ss.validate_germ(QUADRIC), {"n": 3, "case": "E6", "k": None},
+        ss.GermRejection, "case E6 exists only at index 1",
+    ),
+    "ContractionRecord": (
+        record, {"w0": ss.WeightVector((1, 1, 2))}, ss.NonAdmissibleWeight, "not homogeneous",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BAD_FIELD)
+def test_no_route_builds_a_value_outside_its_contract(name):
+    """The constructor, `_make`, `_replace`, `copy.replace`, `copy` and `pickle`
+    all build through `__new__`, so each raises the constructor's error."""
+    build, bad, error, message = BAD_FIELD[name]
+    value = build()
+    cls = type(value)
+    fields = {**value._asdict(), **bad}
+    forged = tuple.__new__(cls, fields.values())  # bypasses __new__, as nothing else does
+    routes = [
+        lambda: cls(**fields),
+        lambda: cls._make(fields.values()),
+        lambda: value._replace(**bad),
+        lambda: copy.copy(forged),
+        lambda: copy.deepcopy(forged),
+        lambda: pickle.loads(pickle.dumps(forged)),
+    ]
+    if sys.version_info >= (3, 13):
+        routes.append(lambda: copy.replace(value, **bad))
+    for route in routes:
+        with pytest.raises(error, match=message):
+            route()
 
 
 LOADING_SCRIPT = """
