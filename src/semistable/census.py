@@ -33,15 +33,18 @@ while guessing is not.
 With c_i = b_i(0), the t-chart of the exceptional divisor is
 
     U = (x'y' + h(z') = 0) in (1/d)(a1, a2, a3),
-    h(z') = z'^(k*n) + sum_i c_i * z'^(i*n),
+    h(z') = P(z'^n),  P(u) = u^k + sum_i c_i * u^i,
 
 and the census reads off three kinds of points:
 
   * interior: one A_(l-1) entry for each multiplicity l >= 2 of h, counted
     by the degree of the multiplicity-l squarefree factor (= roots in the
-    algebraic closure, conjugate roots grouped in one entry).  When d > 1
-    the z' = 0 root belongs to the origin entry instead, and the nonzero
-    roots fall in mu_d-orbits of size d.
+    algebraic closure, conjugate roots grouped in one entry).  h is never
+    built: P = u^l_fibre * Q with Q(0) != 0, and u = z'^n is unramified
+    away from 0, so a Yun factor (deg, l) of Q gives n*deg roots of
+    multiplicity l; z' = 0 has multiplicity l_fibre*n.  When d > 1 it
+    belongs to the origin entry instead, and the nonzero roots fall in
+    mu_d-orbits of size d.
   * origin (d > 1 only): the chart origin is a quotient germ
     (xy + z^(l*n) = 0) in (1/d)(1,-1,b), itself of fibre type
     (k', n', a') = (l*e, d, b).  The surface reading uses the least l with
@@ -77,13 +80,6 @@ class ReducedPerturbation(NamedTuple):
     def l_fibre(self) -> int:
         """Least i with c_i != 0; k when every c_i vanishes (h = z^(k*n))."""
         return self.c[0][0] if self.c else self.k
-
-    def chart_polynomial(self) -> list[Fraction]:
-        """Coefficients of h(z') = z'^(k*n) + sum c_i z'^(i*n), constant term first."""
-        h = [Fraction(0)] * (self.k * self.n) + [Fraction(1)]
-        for i, value in self.c:
-            h[i * self.n] = value
-        return h
 
 
 def reduced_g_coefficients(record: ContractionRecord) -> ReducedPerturbation:
@@ -148,17 +144,18 @@ class InteriorEntry(NamedTuple):
 def _interior(record: ContractionRecord, red: ReducedPerturbation) -> tuple[InteriorEntry, ...]:
     """A-type points of the t-chart away from its quotient origin.
 
-    Multiple roots of h(z') of multiplicity l give A_(l-1) points; for d > 1
-    the z' = 0 root is stripped first (it is the origin entry's business).
+    Multiple roots of h(z') of multiplicity l give A_(l-1) points, read off
+    Q(u) = P(u)/u^l_fibre; for d > 1 the z' = 0 root is the origin entry's.
     """
-    h = red.chart_polynomial()
-    if record.w0.denominator > 1:
-        h = h[red.l_fibre * red.n:]  # z'^(l_fibre*n) is the least power of z' in h
-    return tuple(  # Yun yields the multiplicities in ascending order
-        InteriorEntry(l=mult, count=degree)
-        for degree, mult in squarefree_multiplicities(h)
-        if mult >= 2
-    )
+    l_fib = red.l_fibre
+    q = [Fraction(0)] * (red.k - l_fib) + [Fraction(1)]
+    for i, value in red.c:
+        q[i - l_fib] = value
+    counts = {mult: red.n * degree for degree, mult in squarefree_multiplicities(q)}
+    if record.w0.denominator == 1 and l_fib:
+        counts[l_fib * red.n] = counts.get(l_fib * red.n, 0) + 1
+    return tuple(InteriorEntry(l=mult, count=count)
+                 for mult, count in sorted(counts.items()) if mult >= 2)
 
 
 class OriginEntry(NamedTuple):

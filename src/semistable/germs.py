@@ -98,20 +98,14 @@ class GermSpec(_Checked, _GermFields):
         a %= n
         if case not in CASES:
             raise GermRejection(f"case must be one of {CASES}, got {case!r}")
-        if case == "T":
-            if k is None or k < 1:
-                raise GermRejection("case T needs an integer k >= 1")
-        elif case != "N":
-            if n != 1:
-                raise GermRejection(f"case {case} exists only at index 1")
-            if case == "D" and (m is None or m < 4):
-                raise GermRejection("case D needs an integer m >= 4")
-            if case != "D" and m is not None:
-                raise GermRejection(f"case {case} takes no parameter m")
-        if case != "T" and k is not None:
-            raise GermRejection(f"case {case} takes no parameter k")
-        if case == "N" and m is not None:
-            raise GermRejection("case N takes no parameter m")
+        if case not in ("T", "N") and n != 1:
+            raise GermRejection(f"case {case} exists only at index 1")
+        for name, value in (("k", k), ("m", m)):  # T takes k >= 1, D takes m >= 4
+            least = {("T", "k"): 1, ("D", "m"): 4}.get((case, name))
+            if least is None and value is not None:
+                raise GermRejection(f"case {case} takes no parameter {name}")
+            if least is not None and (value is None or value < least):
+                raise GermRejection(f"case {case} needs an integer {name} >= {least}")
         for exp, _ in tg.items():
             if exp[3] < 1:
                 raise GermRejection(

@@ -77,13 +77,16 @@ def to_vector(entries, dim: int) -> Vector:
 
 
 class _Checked:
-    """A NamedTuple mixin: `_make`, so `_replace`, builds through the checking `__new__`."""
+    """A NamedTuple mixin: `_make` (so `_replace`), `copy` and `pickle` build through `__new__`."""
 
     __slots__ = ()
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    def __reduce__(self):  # pickle protocols 0 and 1 would call tuple.__new__
+        return type(self), tuple(self)
 
 
 class _QuotientLatticeFields(NamedTuple):

@@ -169,6 +169,24 @@ def test_hostile_sizes_exit_2_at_once(germ_file, argv, limit, germ):
     assert elapsed < 1.0, f"{argv[0]} took {elapsed:.2f}s to exit 2"
 
 
+HUGE_N = 10**30 + 57
+HUGE_W0 = f"1,{HUGE_N - 1},1/{HUGE_N}"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [(["enumerate", "{germ}", "--bound", "1"], "records: 1 (bound 1)"),
+     (["blowup", "{germ}", "--weights", HUGE_W0], "interior: no A-type points"),
+     (["census", "{germ}", "--weights", HUGE_W0], "interior: no A-type points")],
+    ids=["enumerate", "blowup", "census"],
+)
+def test_a_31_digit_index_renders_its_record(germ_file, argv, line, capsys):
+    # the census never builds h(z) of degree k*n, so no list of n entries is asked for
+    path = germ_file({"n": HUGE_N, "a": 1, "case": "T", "k": 1, "g": []})
+    assert main([path if arg == "{germ}" else arg for arg in argv]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("error", [ValueError, KeyError])
 def test_library_errors_are_not_parse_failures(germ_file, monkeypatch, error):
     def broken(germ):

@@ -68,6 +68,8 @@ def test_validate_case_parameters():
         ss.validate_germ({"n": 1, "a": 0, "case": "E6", "m": 5, "g": []})
     with pytest.raises(ss.GermRejection, match="case N takes no parameter m"):
         ss.validate_germ({"n": 3, "a": 1, "case": "N", "m": 5, "g": []})
+    with pytest.raises(ss.GermRejection, match="case T takes no parameter m"):
+        ss.validate_germ({"n": 2, "a": 1, "case": "T", "k": 1, "m": 7, "g": []})
     germ = ss.validate_germ({"n": 1, "a": 0, "case": "D", "m": 4, "g": []})
     assert germ.f == SparsePoly({(2, 0, 0, 0): 1, (0, 2, 1, 0): 1, (0, 0, 3, 0): 1})
 

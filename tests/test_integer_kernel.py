@@ -150,3 +150,16 @@ def test_scan_runtime_budget():
         ss.WeightVector(w, n) for w in ((1, n - 1, 1), (n + 2, n - 2, 2), (n + 3, 2 * n - 3, 3))
     ]
     assert elapsed < 0.1, f"admissible_weights_T(10**30 + 57, 1, 1, 2) took {elapsed:.3f}s"
+
+
+def test_census_runtime_budget():
+    # the census reads P(u) of degree k, not h(z) = P(z^n) of degree k*n, and g = [] makes
+    # P = u^k: its only root z = 0 has multiplicity k*n, a closed form
+    germ = ss.validate_germ({"n": 1, "a": 0, "case": "T", "k": 10**6, "g": []})
+    record = ss.build_contraction(germ, ss.WeightVector((1, 10**6 - 1, 1)))
+    start = time.perf_counter()
+    found = ss.census(record)
+    elapsed = time.perf_counter() - start
+    assert [entry.type_label for entry in found.interior] == ["A999999"]
+    assert found.interior[0].count == 1
+    assert elapsed < 0.1, f"census at k = 10**6 took {elapsed:.3f}s, budget 0.1s"

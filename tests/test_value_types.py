@@ -139,7 +139,7 @@ def test_every_way_to_a_record_checks_it():
     germ = ss.validate_germ({"n": 5, "a": 2, "case": "T", "k": 1, "g": []})
     records, _ = ss.enumerate_contractions(germ, 2)
     value = records[-1]
-    assert value.E_equation is not None  # a cached value travels in __dict__
+    assert value.E_equation is not None  # cached in __dict__, which a clone rebuilds, not copies
     for clone in (copy.copy(value), copy.deepcopy(value),
                   pickle.loads(pickle.dumps(value))):
         assert type(clone) is ss.ContractionRecord
@@ -181,13 +181,18 @@ def test_no_route_builds_a_value_outside_its_contract(name):
         lambda: value._replace(**bad),
         lambda: copy.copy(forged),
         lambda: copy.deepcopy(forged),
-        lambda: pickle.loads(pickle.dumps(forged)),
+        *(lambda protocol=protocol: pickle.loads(pickle.dumps(forged, protocol))
+          for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
     ]
     if sys.version_info >= (3, 13):
         routes.append(lambda: copy.replace(value, **bad))
     for route in routes:
         with pytest.raises(error, match=message):
             route()
+    for clone in (copy.copy(value), copy.deepcopy(value),  # a valid value round-trips
+                  *(pickle.loads(pickle.dumps(value, protocol))
+                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+        assert type(clone) is cls and clone == value
 
 
 LOADING_SCRIPT = """
