@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "cover": ("CoverData", "cover_data", "verify_cover"),
     "errors": (
-        "DomainRejection", "GermRejection", "InternalError", "NonAdmissibleWeight",
+        "DomainRejection", "GermRejection", "NonAdmissibleWeight",
         "SemistabilityViolation", "UnsupportedForm", "ZeroPolynomialError",
     ),
     "germs": (

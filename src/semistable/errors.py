@@ -2,17 +2,11 @@
 
 Everything deriving from DomainRejection means "the input is mathematically
 outside the contract", not "the library is broken"; the command line maps
-these to exit code 2.  InternalError is the opposite: a broken internal
-invariant, which no input should reach.  It derives from neither ValueError
-nor DomainRejection, so the command line reports it as neither a rejection
-(exit 2) nor a parse failure (exit 3).
+these to exit code 2.  A library bug raises an ordinary exception, which
+the command line maps to no exit code.
 """
 
 from __future__ import annotations
-
-
-class InternalError(Exception):
-    """An internal invariant failed: a library bug, never a property of the input."""
 
 
 class DomainRejection(ValueError):

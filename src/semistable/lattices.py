@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import DomainRejection, InternalError
+from .errors import DomainRejection
 
 Vector = tuple[Fraction, ...]
 
@@ -143,16 +143,14 @@ def is_primitive(lattice: QuotientLattice, v) -> bool:
 def fibre_quotient(k: int, n: int, a: int) -> tuple[int, int]:
     """(r, q) of the case-T fibre quotient 1/(k*n^2)(1, k*n*a - 1), with 0 <= q < r.
 
-    q is 0 when r = 1.  Otherwise q = -1 mod k*n and every prime of r
-    divides k*n, so q is a unit mod r; anything else is a library bug.
+    q is 0 when r = 1.  Otherwise every prime p of r divides k*n, so
+    q = -1 mod p: q is a unit mod r, and 1 <= q < r
+    (`tests/test_lattices.py` checks this over all integers k, n, a).
     """
     r = k * n * n
     if r <= 1:
         return r, 0
-    q = (k * n * a - 1) % r
-    if not (1 <= q < r and gcd(q, r) == 1):
-        raise InternalError(f"fibre quotient 1/{r}(1,{q}) is not normalized")
-    return r, q
+    return r, (k * n * a - 1) % r
 
 
 def mu_n_character(lattice: QuotientLattice, exponents) -> int:

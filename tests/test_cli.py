@@ -3,12 +3,16 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import semistable as ss
-from semistable.cli import main
+from semistable.cli import _json, main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 QUADRIC = {
     "n": 2, "a": 1, "case": "T", "k": 1,
@@ -124,27 +128,63 @@ def test_trunc_order_without_probe_is_parse_failure(germ_file, capsys):
     assert captured.err == "usage error: --trunc-order needs --probe\n"
 
 
+def _close_stdout_after_one_line(path, env):
+    """Run `enumerate` in both modes, closing its stdout after the first line."""
+    for flags, first in (([], b"germ: case T"), (["--json"], b"{\n")):
+        with subprocess.Popen(  # closes both pipes on exit
+            [sys.executable, "-m", "semistable.cli", "enumerate", path, "--bound", "40", *flags],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as child:
+            try:
+                assert child.stdout.readline().startswith(first)
+                child.stdout.close()  # the rest no longer fits the pipe, so a write fails
+                err = child.stderr.read()
+                assert child.wait(timeout=60) == 1
+            finally:
+                child.kill()
+                child.wait()
+        assert err == b""
+
+
 def test_closed_stdout_exits_1_without_traceback(germ_file):
     """A reader that stops early (`| head -1`) ends the run with exit 1 and an empty stderr."""
     path = germ_file({"n": 5, "a": 2, "case": "T", "k": 1, "g": []})  # ~390 kB of text
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    with subprocess.Popen(  # closes both pipes on exit
-        [sys.executable, "-m", "semistable.cli", "enumerate", path, "--bound", "40"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    ) as child:
-        try:
-            assert child.stdout.readline().startswith(b"germ: case T")
-            child.stdout.close()  # the rest no longer fits the pipe, so a write fails
-            err = child.stderr.read()
-            assert child.wait(timeout=60) == 1
-        finally:
-            child.kill()
-            child.wait()
-    assert err == b""
+    _close_stdout_after_one_line(path, {**env, "PYTHONPATH": SRC})
+
+
+def test_closed_unbuffered_stdout_exits_1_without_traceback(germ_file):
+    # with PYTHONUNBUFFERED=1 every write of the stream is a write(2) that can fail
+    path = germ_file({"n": 5, "a": 2, "case": "T", "k": 1, "g": []})
+    _close_stdout_after_one_line(path, {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": "1"})
 
 
 T_GERM = {"n": 1, "a": 0, "case": "T", "k": 1, "g": []}
+
+
+# prints the peak RSS of the one child it runs; a child's ru_maxrss counts its
+# spawner's resident set too, so the spawner is a bare `python -S`
+PEAK_RSS = (
+    "import resource, subprocess, sys; "
+    "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True); "
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+)
+
+
+def test_enumerate_json_streams_in_the_memory_of_text(germ_file):
+    """`--json` holds one rendered record at a time, as text mode does."""
+    path = germ_file(T_GERM)  # 12,231 records: 21 MB of JSON
+    env = {**os.environ, "PYTHONPATH": SRC}
+    peaks = []
+    for flags in ([], ["--json"]):
+        command = [sys.executable, "-m", "semistable.cli", "enumerate", path, "--bound", "200"]
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", PEAK_RSS, *command, *flags],
+            capture_output=True, env=env, check=True, timeout=120,
+        )
+        peaks.append(int(done.stdout))
+    text, as_json = peaks
+    assert as_json <= 1.5 * text, f"ru_maxrss: {as_json} with --json against {text} in text"
 
 
 @pytest.mark.parametrize(
@@ -158,7 +198,7 @@ T_GERM = {"n": 1, "a": 0, "case": "T", "k": 1, "g": []}
 def test_hostile_sizes_exit_2_at_once(germ_file, argv, limit, germ):
     """Work limits stop a huge bound, quotient or Du Val graph before the work starts."""
     path = germ_file(germ)
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env = {**os.environ, "PYTHONPATH": SRC}
     argv = [path if arg == "{germ}" else arg for arg in argv]
     command = [sys.executable, "-m", "semistable.cli", *argv]
     start = time.perf_counter()
@@ -348,3 +388,33 @@ def test_output_is_deterministic(germ_file, capsys):
         first = capsys.readouterr().out
         assert main(["enumerate", path, "--bound", "3", *flags]) == 0
         assert capsys.readouterr().out == first
+
+
+# JSON values of the kinds the payloads hold, with the edge cases of the encoder
+JSON_TEXT = st.text(st.characters() | st.sampled_from("\x00\x1f\x7f\"\\/\u2028\xe9\U0001f600"))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.sampled_from([0, 1, True, False])
+    | st.integers(-10**80, 10**80) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+@example("\x00\u2028\xe9")
+@example(1)
+@example(True)
+@example([True, 1, False, 0, [], {}, [[]], {"": {}}])
+def test_json_writer_matches_the_standard_library(value):
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {"a": [Fraction(1, 2)]}, [0, (1, 2)], {"b": {1: "one"}}],
+    ids=["float", "Fraction", "tuple", "int-key"],
+)
+def test_json_writer_refuses_other_values(value):
+    with pytest.raises(TypeError):
+        _json(value)

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semistable as ss
 from oracles import oracle_contains, oracle_primitive
+from semistable.lattices import fibre_quotient
 
 
 def frac(*entries):
@@ -231,3 +234,15 @@ def test_library_inputs_are_exact():
             with pytest.raises(TypeError):
                 entry(bad)
     assert ss.lattice_contains(L, (Fraction(1, 2), 5 * Fraction(1, 2), 3 * Fraction(1, 2)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(-50, 10**12), st.integers(-10**6, 10**6), st.integers(-10**30, 10**30))
+def test_fibre_quotient_is_normalized(k, n, a):
+    # every prime of r = k*n^2 divides k*n, so q = k*n*a - 1 = -1 mod it: a unit mod r
+    r, q = fibre_quotient(k, n, a)
+    assert r == k * n * n
+    if r <= 1:
+        assert q == 0
+    else:
+        assert 1 <= q < r and gcd(q, r) == 1 and (q - (k * n * a - 1)) % r == 0

@@ -86,6 +86,14 @@ def test_hj_round_trip_small():
             assert (set(entries) == {2}) == (q == r - 1)
 
 
+def test_hj_expansion_of_the_inverse_is_reversed():
+    # 1/r(1, q) and 1/r(1, q^-1) are one germ with its two axes swapped
+    for r in range(2, 200):
+        for q in range(1, r):
+            if gcd(q, r) == 1:
+                assert ss.hj_expansion(r, pow(q, -1, r)) == ss.hj_expansion(r, q)[::-1]
+
+
 def test_resolve_cyclic():
     graph = ss.resolve_cyclic(4, 1)
     assert [v.self_intersection for v in graph.vertices] == [-4]

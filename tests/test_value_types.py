@@ -248,7 +248,7 @@ def test_cli_import_loads_no_dataclasses(tmp_path):
 PUBLIC_NAMES = [
     "ContractionRecord", "CornerEntry", "CoverData", "DomainRejection", "DualGraph",
     "FibreQuotientData", "GermRejection", "GermSpec", "GraphVertex", "InteriorEntry",
-    "InternalError", "NonAdmissibleWeight", "OriginEntry", "QuotientLattice",
+    "NonAdmissibleWeight", "OriginEntry", "QuotientLattice",
     "ReducedPerturbation", "SemistabilityViolation", "SingularityCensus", "SparsePoly",
     "SurfaceCone", "UnsupportedForm", "WeightVector", "ZeroPolynomialError",
     "admissible_weights_T", "build_contraction", "census", "cover_data", "duval_graph",
@@ -272,15 +272,13 @@ def test_every_exported_name_resolves_and_is_listed():
 
 
 def test_source_has_no_assert_statement():
-    """Invariants raise InternalError: `python -O` strips `assert` statements."""
+    """No library check is an `assert`: `python -O` strips `assert` statements."""
     sources = sorted((ROOT / "src" / "semistable").glob("*.py"))
     assert sources
     for path in sources:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} has assert statements at lines {lines}"
-    # an invariant is not a rejection of input
-    assert not issubclass(ss.InternalError, (ValueError, ss.DomainRejection))
 
 
 def test_unknown_package_name_raises_attribute_error():
