@@ -8,10 +8,10 @@ rendered record; the other subcommands never load this module.
 from __future__ import annotations
 
 from .census import SingularityCensus, census
-from .contractions import ContractionRecord
+from .contractions import ContractionRecord, _E_json
 from .cover import cover_data, verify_cover
 from .errors import UnsupportedForm
-from .lattices import fraction_to_str
+from .lattices import ratio_to_str
 from .polynomials import format_poly
 
 
@@ -47,9 +47,10 @@ def _census_lines(data: SingularityCensus, indent: str = "") -> list[str]:
 def _record_lines(record: ContractionRecord, indent: str = "") -> list[str]:
     """The record, its cover and, in case T, its census (or why there is none)."""
     a1, a2, a3, d = record.ambient
+    scaled_lam = record._scaled_lam
     lines = [
-        f"{indent}w0 = {record.w0}   lambda = {fraction_to_str(record.lam)}   "
-        f"discrepancy = {fraction_to_str(record.discrepancy)}",
+        f"{indent}w0 = {record.w0}   lambda = {ratio_to_str(scaled_lam, d)}   "
+        f"discrepancy = {ratio_to_str(a1 + a2 + a3 - scaled_lam, d)}",
         f"{indent}E = ({format_poly(record.E_equation, ('X', 'Y', 'Z', 'T'))} = 0)"
         f"  in  P({a1},{a2},{a3},{d})",
         f"{indent}status: {record.contraction_status}   semistable: yes",
@@ -69,8 +70,16 @@ def _record_lines(record: ContractionRecord, indent: str = "") -> list[str]:
     return lines
 
 
-def _record_json(record: ContractionRecord) -> dict:
-    payload = record.to_json()
+def _record_json(record: ContractionRecord, germ=None, E=None) -> dict:
+    """The record's `to_json`, its cover and, in case T, its census.
+
+    germ and E (the pair of E entries) replace the record's own when given:
+    `enumerate` renders once what all its records repeat.
+    """
+    payload = record._json(
+        record.germ.to_json() if germ is None else germ,
+        *(_E_json(record.E_equation) if E is None else E),
+    )
     cover = cover_data(record)
     payload["cover"] = {**cover.to_json(), "verified": verify_cover(record, cover)}
     if record.germ.case != "T":

@@ -71,15 +71,45 @@ def _json(value, newline: str = "\n") -> str:
     """value as the standard `json` module writes it with `indent=2, sort_keys=True`.
 
     It takes what the payloads hold: dicts with `str` keys, lists, `str`,
-    `int`, `bool` and `None`.  Anything else (a float, a `Fraction`, a
-    tuple, a non-`str` key) raises TypeError, never a coercion.  newline is
-    the line break plus the indent of the line value starts on, so a value
-    can be written inside an enclosing one.  With `indent` set, the `json`
-    module runs its pure-Python encoder; this one is about 2.4x faster.
+    `int`, `bool` and `None`, and `_Rendered` text, which it writes as is.
+    Anything else (a float, a `Fraction`, a tuple, a non-`str` key) raises
+    TypeError, never a coercion.  newline is the line break plus the indent
+    of the line value starts on, so a value can be written inside an
+    enclosing one.  With `indent` set, the `json` module runs its
+    pure-Python encoder; this one is about 2.4x faster.
     """
     out: list[str] = []
     _json_chunks(value, newline, out)
     return "".join(out)
+
+
+class _Rendered(str):
+    """JSON text `_json` already wrote, at the indent of the place it goes."""
+
+
+# (keys in insertion order, inner newline) -> [(key, "{" or "," + newline + quoted key + ": ")]
+# in sorted key order.  Payload dicts take their keys from code, not from input, so
+# a run meets a few dozen shapes; the bound only keeps arbitrary callers in check.
+_SHAPES: dict[tuple[tuple[str, ...], str], list[tuple[str, str]]] = {}
+_MAX_SHAPES = 1024
+_STR = frozenset((str,))
+
+
+def _shape(value: dict, inner: str) -> list[tuple[str, str]]:
+    """The sorted keys of value with the text written before each of their items."""
+    keys = tuple(value)
+    shape = _SHAPES.get((keys, inner))
+    if shape is not None and _STR.issuperset(map(type, keys)):  # an equal str subclass hits too
+        return shape
+    shape, sep = [], "{"
+    for key in sorted(keys):
+        if type(key) is not str:
+            raise TypeError(f"JSON object key {key!r} is not a str")
+        shape.append((key, f"{sep}{inner}{_quote(key)}: "))
+        sep = ","
+    if len(_SHAPES) < _MAX_SHAPES:
+        _SHAPES[keys, inner] = shape
+    return shape
 
 
 def _json_chunks(value, newline: str, out: list[str]) -> None:
@@ -90,20 +120,16 @@ def _json_chunks(value, newline: str, out: list[str]) -> None:
             out.append("{}")
             return
         inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            if type(key) is not str:
-                raise TypeError(f"JSON object key {key!r} is not a str")
+        for key, prefix in _shape(value, inner):
             item = value[key]
             kind = type(item)
             if kind is str:
-                out.append(f"{sep}{_quote(key)}: {_quote(item)}")
+                out.append(prefix + _quote(item))
             elif kind is int:
-                out.append(f"{sep}{_quote(key)}: {int.__repr__(item)}")
+                out.append(prefix + int.__repr__(item))
             else:
-                out.append(f"{sep}{_quote(key)}: ")
+                out.append(prefix)
                 _json_chunks(item, inner, out)
-            sep = "," + inner
         out.append(newline + "}")
     elif kind is list:
         if not value:
@@ -124,6 +150,8 @@ def _json_chunks(value, newline: str, out: list[str]) -> None:
         out.append(newline + "]")
     elif kind is str:
         out.append(_quote(value))
+    elif kind is _Rendered:
+        out.append(value)
     elif value is None:
         out.append("null")
     elif value is True:
@@ -220,7 +248,7 @@ def cmd_enumerate(args) -> int:
     So the process holds one rendered record at a time, not the whole output.
     """
     from ._records import _record_json, _record_lines
-    from .contractions import enumerate_contractions
+    from .contractions import _E_json, enumerate_contractions
 
     germ = _load_germ(args.spec)
     if germ.case == "T" and args.bound is None:
@@ -245,6 +273,10 @@ def cmd_enumerate(args) -> int:
             {"w0": w.to_json(), "witness_exponent": list(witness)} for w, witness in rejected
         ],
     }
+    # Every record repeats the germ, and E = f when t*g = 0: render them once.
+    inner = "\n      "  # the line break and indent of a record's entries
+    germ_json = _Rendered(_json(germ.to_json(), inner))
+    f_json = tuple(_Rendered(_json(entry, inner)) for entry in _E_json(germ.f))
     text, sep = "", "{"
     for key in sorted(payload):  # the key order `_json` gives
         text += f"{sep}\n  {_quote(key)}: "
@@ -252,7 +284,11 @@ def cmd_enumerate(args) -> int:
         if key == "records":
             write(text + "[")
             for i, record in enumerate(records):
-                write(("," if i else "") + "\n    " + _json(_record_json(record), "\n    "))
+                E = f_json if record.E_equation is germ.f else None
+                write(
+                    ("," if i else "") + "\n    "
+                    + _json(_record_json(record, germ_json, E), "\n    ")
+                )
             text = "\n  ]" if records else "]"
         else:
             text += _json(payload[key], "\n  ")

@@ -34,12 +34,15 @@ A record is checked once, when it is built: `ContractionRecord(germ, w0)`
 raises NonAdmissibleWeight for a weight `is_admissible` refuses and
 SemistabilityViolation when w(t*g) < w(f), and `_replace`, `copy` and
 `pickle` all build through it, so every record that exists is admissible
-and semistable and no consumer checks it again.  Enumeration decides each
-scanned weight, admissible by construction, with the private predicate
-`_semistable`, so a rejected weight formats no message; the constructor
-checks each weight that passes again.  All of it runs on integers
-(valuations scaled by the weight denominator d, see the polynomials
-module); `Fraction(scaled, d)` is built only where a record is read.
+and semistable and no consumer checks it again.  One private decision,
+`_decide`, values f and t*g once per weight and returns d*lambda with a
+witness for an unstable weight.  The constructor and enumeration share
+it: enumeration trusts its scan for admissibility, so a rejected weight
+formats no message and a passing one becomes a record that keeps its
+d*lambda.  All of it runs on integers (valuations scaled by the weight
+denominator d, see the polynomials module): records sort by the integer
+lambda, and `to_json` writes lambda and the discrepancy from d*lambda.
+`Fraction(scaled, d)` is built only where `lam` or `discrepancy` is read.
 """
 
 from __future__ import annotations
@@ -57,10 +60,10 @@ from .lattices import (
     _Checked,
     _coordinates,
     _exact,
-    fraction_to_str,
     ratio_to_str,
 )
 from .polynomials import (
+    Exponent,
     SparsePoly,
     format_poly,
     min_weight_monomial,
@@ -177,9 +180,15 @@ def is_admissible(germ: GermSpec, w0: WeightVector) -> tuple[bool, str | None]:
     return True, None
 
 
-def _semistable(germ: GermSpec, w0: WeightVector) -> bool:
-    """Whether w(t*g) >= w(f), for a weight trusted to be admissible."""
-    return germ.tg.is_zero or scaled_valuation(w0, germ.tg) >= scaled_valuation(w0, germ.f)
+def _decide(germ: GermSpec, w0: WeightVector) -> tuple[int, tuple[Exponent, Fraction] | None]:
+    """(d*lambda, None) when w(t*g) >= w(f), else (d*lambda, a witness monomial of t*g).
+
+    w0 is trusted to be admissible; the witness is `min_weight_monomial`'s.
+    """
+    scaled_lam = scaled_valuation(w0, germ.f)
+    if germ.tg.is_zero or scaled_valuation(w0, germ.tg) >= scaled_lam:
+        return scaled_lam, None
+    return scaled_lam, min_weight_monomial(w0, germ.tg)
 
 
 class _ContractionFields(NamedTuple):
@@ -192,33 +201,38 @@ class ContractionRecord(_Checked, _ContractionFields):
 
     E lives in the weighted projective space P(a1, a2, a3, d) and is cut out
     by f(X, Y, Z) + T * g_(lam-1)(X, Y, Z, T), where g_(lam-1) is the graded
-    piece of g in weight lam - 1 (possibly zero) and lam = w(f).  lam and E
-    are built once per record, on first use, and cached in the instance
+    piece of g in weight lam - 1 (possibly zero) and lam = w(f).  d*lam is
+    kept when the record is built, and E on first use, in the instance
     __dict__ (so this subclass declares no __slots__), which equality and
     hashing never read.  Construction checks the pair: NonAdmissibleWeight
     for a weight `is_admissible` refuses, SemistabilityViolation (with the
     witness monomial) when w(t*g) < w(f).
     """
 
+    _scaled_lam: int  # d * lam
+
     def __new__(cls, germ: GermSpec, w0: WeightVector):
         ok, reason = is_admissible(germ, w0)
         if not ok:
             raise NonAdmissibleWeight(reason)
-        if not _semistable(germ, w0):
+        scaled_lam, witness = _decide(germ, w0)
+        if witness is not None:
             d = w0.denominator
-            exp, coeff = min_weight_monomial(w0, germ.tg)
+            exp, coeff = witness
             raise SemistabilityViolation(
                 f"w(t*g) = {ratio_to_str(scaled_valuation(w0, germ.tg), d)} < "
-                f"w(f) = {ratio_to_str(scaled_valuation(w0, germ.f), d)}; "
+                f"w(f) = {ratio_to_str(scaled_lam, d)}; "
                 f"witness monomial {format_poly(SparsePoly.monomial(exp, coeff))}",
                 witness=exp,
             )
-        return super().__new__(cls, germ, w0)
+        return cls._decided(germ, w0, scaled_lam)
 
-    @cached_property
-    def _scaled_lam(self) -> int:
-        """d * lam, an integer."""
-        return scaled_valuation(self.w0, self.germ.f)
+    @classmethod
+    def _decided(cls, germ: GermSpec, w0: WeightVector, scaled_lam: int) -> "ContractionRecord":
+        """The record of a pair `_decide` found semistable, w0 admissible; keeps d*lam."""
+        record = super().__new__(cls, germ, w0)
+        record._scaled_lam = scaled_lam
+        return record
 
     @property
     def lam(self) -> Fraction:
@@ -245,17 +259,27 @@ class ContractionRecord(_Checked, _ContractionFields):
         return "divisorial-contraction" if self.germ.rho_one else "pending-rho"
 
     def to_json(self) -> dict:
+        return self._json(self.germ.to_json(), *_E_json(self.E_equation))
+
+    def _json(self, germ, E_equation, E_equation_str) -> dict:
+        """`to_json` around the given germ and E entries, which `enumerate` renders once."""
+        d, scaled_lam = self.w0.denominator, self._scaled_lam
         return {
-            "germ": self.germ.to_json(),
+            "germ": germ,
             "w0": self.w0.to_json(),
-            "lambda": fraction_to_str(self.lam),
-            "discrepancy": fraction_to_str(self.discrepancy),
+            "lambda": ratio_to_str(scaled_lam, d),
+            "discrepancy": ratio_to_str(sum(self.w0.numerators) - scaled_lam, d),
             "ambient": list(self.ambient),
-            "E_equation": poly_to_json(self.E_equation),
-            "E_equation_str": format_poly(self.E_equation, ("X", "Y", "Z", "T")),
+            "E_equation": E_equation,
+            "E_equation_str": E_equation_str,
             "semistable_ok": True,  # an unstable weight has no record
             "contraction_status": self.contraction_status,
         }
+
+
+def _E_json(E: SparsePoly) -> tuple[list[dict], str]:
+    """The `E_equation` and `E_equation_str` entries of a record's JSON."""
+    return poly_to_json(E), format_poly(E, ("X", "Y", "Z", "T"))
 
 
 def build_contraction(germ: GermSpec, w0: WeightVector) -> ContractionRecord:
@@ -285,10 +309,12 @@ def enumerate_contractions(germ: GermSpec, bound=None):
         weights = [fixed_weights_DE(germ.case, germ.m)]
     records, rejected = [], []
     for w in weights:  # admissible by construction; a rejected weight formats no message
-        if _semistable(germ, w):
-            records.append(ContractionRecord(germ, w))
+        scaled_lam, witness = _decide(germ, w)
+        if witness is None:
+            records.append(ContractionRecord._decided(germ, w, scaled_lam))
         else:
-            rejected.append((w, min_weight_monomial(w, germ.tg)[0]))
-    # weights arrive sorted, so a stable sort by lambda orders by (lambda, w0)
-    records.sort(key=lambda r: r.lam)
+            rejected.append((w, witness[0]))
+    # Weights arrive sorted, so a stable sort by lambda orders by (lambda, w0).
+    # lambda = d*lambda/d is an integer: k*e*a3 in case T, and d = 1 in D and E.
+    records.sort(key=lambda r: r._scaled_lam // r.w0.denominator)
     return records, rejected

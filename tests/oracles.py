@@ -6,7 +6,8 @@ primitivity tries a fixed prime list instead of factoring the content; the
 weight enumeration below rechecks every filter on its own; valuations sum
 Fraction weights monomial by monomial; the census oracle asks sympy's
 squarefree factorization and the isolatedness oracle sympy's Groebner basis.
-Slow and dumb on purpose.  `reduced_T_records` draws the random records the
+`oracle_record_path` renders records from Fraction valuations.  Slow and
+dumb on purpose.  `reduced_T_records` draws the random records the
 census and cover properties run on, `t_power_germs` the germs the
 enumeration property scans; `poly_product` and `dense_product` build
 the products the polynomial tests need, since the library keeps no ring
@@ -14,7 +15,7 @@ product.
 """
 
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, lcm
 
 from hypothesis import strategies as st
 
@@ -104,6 +105,29 @@ def oracle_valuation(weights, exponents):
     """Least weight sum(w_i * e_i) over the exponents, with t weighing 1 in slot 4."""
     full = [Fraction(w) for w in weights] + [Fraction(1)]
     return min(sum((w * e for w, e in zip(full, exp)), Fraction(0)) for exp in exponents)
+
+
+def oracle_record_path(germ, bound):
+    """(w0, lambda, discrepancy, a~) of each case-T record within bound, in record order.
+
+    Every admissible weight (brute force) with w(t*g) >= w(f) is a record,
+    sorted by (lambda, w0) as Fractions.  lambda = w(f), the discrepancy is
+    sum(w0, 1) - w(f + t*g) - 1 and the covered one a~ = a(E)*d + d - 1,
+    each valued monomial by monomial in Fractions and written by
+    `fraction_to_str`.
+    """
+    f, tg, equation = ([e for e, _ in p.items()] for p in (germ.f, germ.tg, germ.equation))
+    rows = []
+    for v in brute_force_weights_T(germ.n, germ.a, germ.k, bound):
+        lam = oracle_valuation(v, f)
+        if tg and oracle_valuation(v, tg) < lam:
+            continue
+        discrepancy = sum(v) + 1 - oracle_valuation(v, equation) - 1
+        d = lcm(*(c.denominator for c in v))
+        rows.append((lam, v, discrepancy, discrepancy * d + d - 1))
+    rows.sort(key=lambda row: row[:2])
+    return [(v, *map(ss.fraction_to_str, (lam, discrepancy, covered)))
+            for lam, v, discrepancy, covered in rows]
 
 
 def poly_product(*factors):

@@ -418,3 +418,16 @@ def test_json_writer_matches_the_standard_library(value):
 def test_json_writer_refuses_other_values(value):
     with pytest.raises(TypeError):
         _json(value)
+
+
+def test_json_writer_refuses_a_str_subclass_key_of_a_shape_it_has_written():
+    class Key(str):
+        pass
+
+    for plain, subclass in [
+        ({"a": 1, "b": [2]}, {Key("a"): 1, "b": [2]}),
+        ([{"a": 1, "b": [2]}], [{"a": 1, Key("b"): [2]}]),
+    ]:
+        assert _json(plain) == json.dumps(plain, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _json(subclass)

@@ -5,8 +5,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import semistable as ss
 from semistable import SparsePoly, WeightVector
+from semistable._records import _record_json, _record_lines
 from semistable.polynomials import scaled_graded_piece, scaled_valuation
-from oracles import brute_force_weights_T, t_power_germs
+from oracles import brute_force_weights_T, oracle_record_path, t_power_germs
 
 
 def germ_T(n, a, k, g_terms=None, rho_one=False):
@@ -288,3 +289,22 @@ def test_record_json_shape():
     assert data["discrepancy"] == "3/2"
     assert data["ambient"] == [1, 5, 3, 2]
     assert data["E_equation_str"] == "X*Y + Z^2 + T^3"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(t_power_germs(), st.integers(0, 8))
+@example(TIED, 3)
+def test_record_path_matches_the_fraction_oracle(germ, bound):
+    # the order of enumerate_contractions and every lambda, discrepancy and a~ it renders,
+    # in JSON and in text, against records valued and sorted in Fractions
+    records, _ = ss.enumerate_contractions(germ, bound)
+    rendered = []
+    for record in records:
+        payload = _record_json(record)
+        lam, discrepancy = payload["lambda"], payload["discrepancy"]
+        covered = str(payload["cover"]["covered_discrepancy"])
+        lines = _record_lines(record)
+        assert f"lambda = {lam}   discrepancy = {discrepancy}" in lines[0]
+        assert f" a~={covered} " in lines[3]
+        rendered.append((record.w0.fractions, lam, discrepancy, covered))
+    assert rendered == oracle_record_path(germ, bound)
