@@ -44,15 +44,14 @@ def _census_lines(data: SingularityCensus, indent: str = "") -> list[str]:
     return lines
 
 
-def _record_lines(record: ContractionRecord, indent: str = "") -> list[str]:
-    """The record, its cover and, in case T, its census (or why there is none)."""
+def _record_lines(record: ContractionRecord, indent: str = "", E: str | None = None) -> list[str]:
+    """The record, its cover and, in case T, its census; E, if given, is E's equation."""
     a1, a2, a3, d = record.ambient
-    scaled_lam = record._scaled_lam
+    E = E or format_poly(record.E_equation, ("X", "Y", "Z", "T"))
     lines = [
-        f"{indent}w0 = {record.w0}   lambda = {ratio_to_str(scaled_lam, d)}   "
-        f"discrepancy = {ratio_to_str(a1 + a2 + a3 - scaled_lam, d)}",
-        f"{indent}E = ({format_poly(record.E_equation, ('X', 'Y', 'Z', 'T'))} = 0)"
-        f"  in  P({a1},{a2},{a3},{d})",
+        f"{indent}w0 = {record.w0}   lambda = {ratio_to_str(record._scaled_lam, d)}   "
+        f"discrepancy = {ratio_to_str(record._scaled_discrepancy, d)}",
+        f"{indent}E = ({E} = 0)  in  P({a1},{a2},{a3},{d})",
         f"{indent}status: {record.contraction_status}   semistable: yes",
     ]
     data = cover_data(record)

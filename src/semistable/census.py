@@ -111,10 +111,10 @@ def reduced_g_coefficients(record: ContractionRecord) -> ReducedPerturbation:
                 f"z-exponent {kz} exceeds the reduced bound {i_max}*{n}"
             )
         columns.add(idx)
-        if l == (k - idx) * e * a3:  # w(z^kz * t^l) = w(f); a semistable record has no l below
-            c[idx] = c.get(idx, Fraction(0)) + coeff
+        if l == (k - idx) * e * a3:  # weight w(f), the least; kz = idx*n, so one monomial
+            c[idx] = coeff
 
-    c_items = tuple(sorted((i, v) for i, v in c.items() if v != 0))
+    c_items = tuple(sorted(c.items()))
     caveat = None
     if germ.tg.is_zero:
         caveat = "perturbation is zero to the supplied order"
@@ -148,7 +148,7 @@ def _interior(record: ContractionRecord, red: ReducedPerturbation) -> tuple[Inte
     Q(u) = P(u)/u^l_fibre; for d > 1 the z' = 0 root is the origin entry's.
     """
     l_fib = red.l_fibre
-    q = [Fraction(0)] * (red.k - l_fib) + [Fraction(1)]
+    q = [0] * (red.k - l_fib) + [1]
     for i, value in red.c:
         q[i - l_fib] = value
     counts = {mult: red.n * degree for degree, mult in squarefree_multiplicities(q)}

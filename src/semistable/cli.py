@@ -13,8 +13,8 @@ record as it is rendered, then its rejected weights, so its memory does not
 grow with its output.
 
 Exit codes: 0 success, 1 when stdout is closed before the output is written
-(a broken pipe), 2 mathematical rejection (invalid germ, inadmissible
-weights, unsupported census shape), 3 when the germ file or the command
+(a broken pipe), 2 mathematical rejection (invalid germ, inadmissible weights,
+unsupported census shape, work limit), 3 when the germ file or the command
 line cannot be read or parsed.  Every exit-2 and exit-3 path raises before
 the first write.  Any other exception is a library bug and is not mapped to
 an exit code; raised while `enumerate` streams, it follows the records
@@ -255,11 +255,13 @@ def cmd_enumerate(args) -> int:
         raise CliParseError("case-T enumeration needs a nonnegative --bound")
     records, rejected = enumerate_contractions(germ, args.bound)
     write = sys.stdout.write
+    f_E = _E_json(germ.f)  # E = f when t*g = 0
+    Es = (f_E if record.E_equation is germ.f else None for record in records)
     if not args.json:
         bound_note = f" (bound {args.bound})" if args.bound is not None else ""
         write("\n".join(_germ_lines(germ) + [f"records: {len(records)}{bound_note}", ""]))
-        for i, record in enumerate(records, start=1):
-            write("\n".join([f"[{i}]", *_record_lines(record, indent="    "), ""]))
+        for i, (record, E) in enumerate(zip(records, Es), start=1):
+            write("\n".join([f"[{i}]", *_record_lines(record, "    ", E and E[1]), ""]))
         write("".join(
             f"rejected: {w} violates w(t*g) >= w(f), witness exponent {witness}\n"
             for w, witness in rejected
@@ -276,18 +278,17 @@ def cmd_enumerate(args) -> int:
     # Every record repeats the germ, and E = f when t*g = 0: render them once.
     inner = "\n      "  # the line break and indent of a record's entries
     germ_json = _Rendered(_json(germ.to_json(), inner))
-    f_json = tuple(_Rendered(_json(entry, inner)) for entry in _E_json(germ.f))
+    f_json = tuple(_Rendered(_json(entry, inner)) for entry in f_E)
     text, sep = "", "{"
     for key in sorted(payload):  # the key order `_json` gives
         text += f"{sep}\n  {_quote(key)}: "
         sep = ","
         if key == "records":
             write(text + "[")
-            for i, record in enumerate(records):
-                E = f_json if record.E_equation is germ.f else None
+            for i, (record, E) in enumerate(zip(records, Es)):
                 write(
                     ("," if i else "") + "\n    "
-                    + _json(_record_json(record, germ_json, E), "\n    ")
+                    + _json(_record_json(record, germ_json, E and f_json), "\n    ")
                 )
             text = "\n  ]" if records else "]"
         else:

@@ -201,15 +201,16 @@ class ContractionRecord(_Checked, _ContractionFields):
 
     E lives in the weighted projective space P(a1, a2, a3, d) and is cut out
     by f(X, Y, Z) + T * g_(lam-1)(X, Y, Z, T), where g_(lam-1) is the graded
-    piece of g in weight lam - 1 (possibly zero) and lam = w(f).  d*lam is
-    kept when the record is built, and E on first use, in the instance
-    __dict__ (so this subclass declares no __slots__), which equality and
-    hashing never read.  Construction checks the pair: NonAdmissibleWeight
-    for a weight `is_admissible` refuses, SemistabilityViolation (with the
-    witness monomial) when w(t*g) < w(f).
+    piece of g in weight lam - 1 (possibly zero) and lam = w(f).  d*lam and
+    d*discrepancy are kept when the record is built, and E on first use, in
+    the instance __dict__ (so this subclass declares no __slots__), which
+    equality and hashing never read.  Construction checks the pair:
+    NonAdmissibleWeight for a weight `is_admissible` refuses,
+    SemistabilityViolation (with the witness monomial) when w(t*g) < w(f).
     """
 
     _scaled_lam: int  # d * lam
+    _scaled_discrepancy: int  # d * discrepancy = sum(a_i) - d*lam, as w(f + t*g) = lam
 
     def __new__(cls, germ: GermSpec, w0: WeightVector):
         ok, reason = is_admissible(germ, w0)
@@ -232,6 +233,7 @@ class ContractionRecord(_Checked, _ContractionFields):
         """The record of a pair `_decide` found semistable, w0 admissible; keeps d*lam."""
         record = super().__new__(cls, germ, w0)
         record._scaled_lam = scaled_lam
+        record._scaled_discrepancy = sum(w0.numerators) - scaled_lam
         return record
 
     @property
@@ -240,8 +242,7 @@ class ContractionRecord(_Checked, _ContractionFields):
 
     @property
     def discrepancy(self) -> Fraction:
-        # w(f + t*g) = lam, so d*(sum(w0, 1) - w(f + t*g) - 1) = sum(a_i) - d*lam
-        return Fraction(sum(self.w0.numerators) - self._scaled_lam, self.w0.denominator)
+        return Fraction(self._scaled_discrepancy, self.w0.denominator)
 
     @property
     def ambient(self) -> tuple[int, int, int, int]:
@@ -263,12 +264,12 @@ class ContractionRecord(_Checked, _ContractionFields):
 
     def _json(self, germ, E_equation, E_equation_str) -> dict:
         """`to_json` around the given germ and E entries, which `enumerate` renders once."""
-        d, scaled_lam = self.w0.denominator, self._scaled_lam
+        d = self.w0.denominator
         return {
             "germ": germ,
             "w0": self.w0.to_json(),
-            "lambda": ratio_to_str(scaled_lam, d),
-            "discrepancy": ratio_to_str(sum(self.w0.numerators) - scaled_lam, d),
+            "lambda": ratio_to_str(self._scaled_lam, d),
+            "discrepancy": ratio_to_str(self._scaled_discrepancy, d),
             "ambient": list(self.ambient),
             "E_equation": E_equation,
             "E_equation_str": E_equation_str,

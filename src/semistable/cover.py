@@ -11,8 +11,8 @@ the record's `ambient`.  The covered exceptional divisor has discrepancy
 
     a~ = a(E)*d + d - 1        (Riemann-Hurwitz ramification along E),
 
-and a(E)*d = a1 + a2 + a3 - d*lambda is the numerator of a(E), read off
-the record's integer d*lambda.  verify_cover recomputes a~
+and a(E)*d = a1 + a2 + a3 - d*lambda is the numerator of a(E), which the
+record reads off its integer d*lambda.  verify_cover recomputes a~
 independently as sum(lifted weights) - w~(f + t*g) - 1 on the cover.  Only
 numerical data is kept; the cover is never built as a variety.
 """
@@ -50,7 +50,7 @@ def cover_data(record: ContractionRecord) -> CoverData:
         d=d,
         e=record.germ.n // d,
         lifted_weights=record.ambient,
-        covered_discrepancy=sum(record.w0.numerators) - record._scaled_lam + d - 1,
+        covered_discrepancy=record._scaled_discrepancy + d - 1,
     )
 
 

@@ -30,7 +30,7 @@ class SemistabilityViolation(DomainRejection):
 
 
 class UnsupportedForm(DomainRejection):
-    """The perturbation is outside the reduced shape the census templates cover."""
+    """The perturbation is outside the census's reduced shape, or past its work budget."""
 
 
 class ZeroPolynomialError(DomainRejection):

@@ -10,14 +10,18 @@ valuation and the graded pieces are integer min / filter computations over
 one kernel, `_graded`; a caller that needs the rational valuation builds
 `Fraction(scaled, d)` itself.  `valuation_with_weights`
 grades in the number type of the weights it is given (integers give an int).
+The census's univariate squarefree decomposition runs over Z, by the primitive
+remainder sequence (Collins 1967, Brown 1971; see `_gcd`).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
 
-from .errors import ZeroPolynomialError
+from .errors import UnsupportedForm, ZeroPolynomialError
 from .lattices import WeightVector, _exact, fraction_to_str
 
 VAR_NAMES = ("x", "y", "z", "t")
@@ -208,82 +212,76 @@ def scaled_graded_piece(w: WeightVector, h: SparsePoly, scaled_value: int) -> Sp
 # ----------------------------------------------------------------------------
 # univariate squarefree decomposition (Yun), for root-multiplicity censuses
 
+# Work units one decomposition may spend, about 1 s on a 2-vCPU Xeon (a dense Q(u) of degree
+# 200 needs 63,200,000, one of degree 300 more).  An entry x*c - y*c' of a pseudo-division or
+# quotient costs 3 plus the product of the 64-bit words of the largest x and the largest y.
+_YUN_WORK_BUDGET = 80_000_000
 
-def _trim(cs: list[Fraction]) -> list[Fraction]:
+
+def _trim(cs: list) -> list:
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
 
 
-def _monic(cs: list[Fraction]) -> list[Fraction]:
-    lead = cs[-1]
-    return [c / lead for c in cs]
+def _primitive(cs: list[int]) -> list[int]:  # nonzero cs over its content, leading term > 0
+    content = gcd(*cs) if cs[-1] > 0 else -gcd(*cs)
+    return [c // content for c in cs]
 
 
-def _deriv(cs: list[Fraction]) -> list[Fraction]:
-    return _trim([i * c for i, c in enumerate(cs)][1:])
+def _deriv(cs: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(cs)][1:]
 
 
-def _divmod_dense(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    while len(num) >= len(den):
-        shift = len(num) - len(den)
-        factor = num[-1] / den[-1]
-        q[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] -= factor * c
-        _trim(num)
-        if not num:
-            break
-    return _trim(q), num
+def _charge(left: int, entries: int, a: list[int], b: list[int]) -> int:
+    wa, wb = (1 + max(map(int.bit_length, cs), default=0) // 64 for cs in (a, b))
+    if entries * (3 + wa * wb) > left:
+        raise UnsupportedForm(f"Yun's decomposition past {_YUN_WORK_BUDGET} work units")
+    return left - entries * (3 + wa * wb)
 
 
-def _gcd_dense(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while b:
-        _, r = _divmod_dense(a, b)
-        a, b = b, r
-    return _monic(a)
+def _quotient(a: list[int], b: list[int], left: int) -> tuple[list[int], int]:
+    """a / b for a primitive b | a over Q, so over Z (Gauss's lemma), and the work left."""
+    a, m = list(a), len(b)
+    left = _charge(left, max(len(a) - m + 1, 0) * m, a, b)
+    for shift in range(len(a) - m, -1, -1):  # each term of a / b takes the place it clears
+        c = a[shift + m - 1] // b[-1]
+        a[shift:shift + m] = [x - c * y for x, y in zip(a[shift:shift + m], b[:-1])] + [c]
+    return a[m - 1:], left
 
 
-def _sub_dense(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _trim(out)
+def _gcd(a: list[int], b: list[int], left: int) -> tuple[list[int], int]:
+    """The primitive gcd of a (nonzero) and b, and the work left: pseudo-remainders by content."""
+    while len(b) > 1:
+        lc, m = b[-1], len(b)
+        while len(a) >= m:
+            left = _charge(left, len(a), a, b)
+            c, shift = a[-1], len(a) - m
+            a = _trim([lc * x for x in a[:shift]] + [lc * x - c * y for x, y in zip(a[shift:], b)])
+        a, b = b, _primitive(a) if a else []
+    return _primitive(b or a), left
 
 
 def squarefree_multiplicities(coefficients) -> list[tuple[int, int]]:
     """Yun decomposition h = prod s_i^i: returns (deg s_i, i) for each nonconstant s_i.
 
-    h is given by its coefficients (ints or Fractions), constant term first.
-    Roots of multiplicity i number deg s_i in the algebraic closure; roots are
-    never located, only counted by factor degree.  Constant input yields [].
+    h is given by its coefficients (ints or Fractions), constant term first.  Roots of
+    multiplicity i number deg s_i in the algebraic closure; roots are never located, only
+    counted by factor degree.  Constant input yields [].  It runs over Z, and raises
+    UnsupportedForm past _YUN_WORK_BUDGET work units.
     """
-    cs = _trim([Fraction(_exact(c)) for c in coefficients])
+    cs = _trim([_exact(c) for c in coefficients])
     if not cs:
         raise ZeroPolynomialError("zero polynomial")
-    if len(cs) == 1:
-        return []
-    f = _monic(cs)
-    df = _deriv(f)
-    g = _gcd_dense(f, df)
-    if len(g) == 1:
-        return [(len(f) - 1, 1)]
-    out = []
-    b, _ = _divmod_dense(f, g)
-    c, _ = _divmod_dense(df, g)
-    d = _sub_dense(c, _deriv(b))
-    i = 1
-    while len(b) > 1:
-        s = _gcd_dense(b, d) if d else _monic(list(b))
-        if len(s) > 1:
+    scale = lcm(*(c.denominator for c in cs))
+    f = _primitive([c.numerator * (scale // c.denominator) for c in cs])
+    out, b, d, i, left = [], f, _deriv(f), 0, _YUN_WORK_BUDGET
+    while len(b) > 1:  # s is gcd(f, f') at i = 0, then the factor of multiplicity i
+        s, left = _gcd(b, d, left)
+        if i and len(s) > 1:
             out.append((len(s) - 1, i))
-        b, _ = _divmod_dense(b, s)
-        c, _ = _divmod_dense(d, s) if d else ([], [])
-        d = _sub_dense(c, _deriv(b))
+        b, left = _quotient(b, s, left)
+        d, left = _quotient(d, s, left)
+        d = _trim([x - y for x, y in zip_longest(d, _deriv(b), fillvalue=0)])
         i += 1
     return out

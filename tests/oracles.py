@@ -8,10 +8,10 @@ Fraction weights monomial by monomial; the census oracle asks sympy's
 squarefree factorization and the isolatedness oracle sympy's Groebner basis.
 `oracle_record_path` renders records from Fraction valuations.  Slow and
 dumb on purpose.  `reduced_T_records` draws the random records the
-census and cover properties run on, `t_power_germs` the germs the
-enumeration property scans; `poly_product` and `dense_product` build
-the products the polynomial tests need, since the library keeps no ring
-product.
+census and cover properties run on, `dense_T_records` the high-degree
+ones, `t_power_germs` the germs the enumeration property scans;
+`poly_product` and `dense_product` build the products the polynomial
+tests need, since the library keeps no ring product.
 """
 
 from fractions import Fraction
@@ -177,6 +177,49 @@ def oracle_interior(record):
         h = h.exquo(sympy.Poly(z ** min(m for (m,) in h.monoms()), z))
     _, factors = sympy.sqf_list(h)
     return [(mult, factor.degree()) for factor, mult in factors if mult >= 2]
+
+
+def oracle_squarefree(coefficients):
+    """(degree, multiplicity) of each squarefree factor by multiplicity, from sympy's sqf_list."""
+    import sympy
+
+    u = sympy.Symbol("u")
+    h = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coefficients)], u)
+    _, factors = sympy.sqf_list(h)
+    return sorted(((factor.degree(), mult) for factor, mult in factors), key=lambda item: item[1])
+
+
+def dense_T_record(P):
+    """The record of w0 = (1, k-1, 1) on the n = 1 germ whose chart polynomial is P.
+
+    P is monic of degree k >= 2, constant term first: t*g = sum_i P[i] z^i t^(k-i).
+    """
+    k = len(P) - 1
+    g = [
+        {"coeff": ss.fraction_to_str(c), "exp": [0, 0, i, k - i - 1]}
+        for i, c in enumerate(P[:k]) if c
+    ]
+    germ = ss.validate_germ({"n": 1, "a": 0, "case": "T", "k": k, "g": g})
+    return ss.build_contraction(germ, ss.WeightVector((1, k - 1, 1)))
+
+
+@st.composite
+def dense_T_records(draw, max_dense=30):
+    """`dense_T_record` of P = B * prod F_j^m_j, of degree at most max_dense + 30.
+
+    B is monic and dense, with small rational coefficients; each planted
+    F_j is u - r for a rational r (zero included) or a monic quadratic,
+    repeated m_j <= 5 times, so P has repeated roots, rational or not.
+    """
+    coeff = st.sampled_from([Fraction(c) for c in ("1", "-1", "2", "-3", "7", "-1/2", "5/6")])
+    size = draw(st.integers(2, max_dense))
+    B = draw(st.lists(coeff, min_size=size, max_size=size)) + [Fraction(1)]
+    factors = []
+    for _ in range(draw(st.integers(0, 3))):
+        F = list(draw(st.tuples(coeff | st.just(Fraction(0))) | st.tuples(coeff, coeff)))
+        F.append(Fraction(1))
+        factors += [F] * draw(st.integers(1, 5))
+    return dense_T_record(dense_product(B, *factors))
 
 
 @st.composite

@@ -1,16 +1,20 @@
 """Acceptance suite: one test per criterion, exact arithmetic throughout.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see one line per
-criterion; each test also enforces its runtime budget.
+criterion; each test also enforces its runtime budget.  The last two
+tests are runtime gates of the census on dense chart polynomials.
 """
 
+import random
 import time
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 import semistable as ss
 from semistable import WeightVector
-from oracles import brute_force_weights_T, oracle_valuation
+from oracles import brute_force_weights_T, dense_T_record, oracle_interior, oracle_valuation
 
 DE_CASES = [("D", m) for m in range(4, 13)] + [("E6", None), ("E7", None), ("E8", None)]
 DE_LAMBDA = {"E6": 12, "E7": 18, "E8": 30}
@@ -213,3 +217,38 @@ def test_criterion_7_invariant_sweep():
                     assert gcd(corner.c, corner.r) == 1
     elapsed = check("criterion 7")
     print(f"ACCEPTANCE 7 PASS: invariants hold across {len(records)} records ({elapsed:.2f}s)")
+
+
+def _dense_census_record(k):
+    """n = 1, a = 0, w0 = (1, k-1, 1) and t*g = sum_i c_i z^i t^(k-i): k random c_i, denominators <= 6."""
+    rng = random.Random(k)
+    P = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6)) for _ in range(k)]
+    return dense_T_record(P + [Fraction(1)])
+
+
+def test_dense_census_runtime():
+    # Yun by Euclid over Q let the remainders swell: this census took 38 s
+    record = _dense_census_record(100)
+    check = _stopwatch(1.0)
+    data = ss.census(record)
+    elapsed = check("degree-100 dense census")
+    assert [(e.l, e.count) for e in data.interior] == sorted(oracle_interior(record))
+    print(f"DENSE CENSUS PASS: 100-term germ in {elapsed:.2f}s")
+
+
+def test_yun_work_budget():
+    check = _stopwatch(2.0)
+    with pytest.raises(ss.UnsupportedForm, match="work units"):
+        ss.census(_dense_census_record(400))
+    elapsed = check("degree-400 refusal")
+    # below the budget: a dense degree-200 Q(u), and one long Euclid step
+    assert ss.census(_dense_census_record(200)).interior == ()
+    assert ss.squarefree_multiplicities([1] + [0] * 199_999 + [1]) == [(200_000, 1)]
+    # exact quotients are charged too: Q = (u^100000 + 1)^2, from a two-term germ, has a
+    # cheap gcd, and the quotients by it take 2*10^10 products
+    check = _stopwatch(1.0)
+    Q = [1] + [0] * 99_999 + [2] + [0] * 99_999 + [1]
+    with pytest.raises(ss.UnsupportedForm, match="work units"):
+        ss.census(dense_T_record(Q))
+    check("refusal of (u^100000 + 1)^2")
+    print(f"YUN BUDGET PASS: degree 400 refused in {elapsed:.2f}s, degree 200 decomposed")

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import semistable as ss
 from semistable import SurfaceCone, WeightVector
-from oracles import oracle_interior, reduced_T_records
+from oracles import dense_T_records, oracle_interior, reduced_T_records
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -108,6 +108,14 @@ def test_interior_multiplicities_match_sympy(record):
 @given(reduced_T_records(max_n=12, max_k=5))
 def test_interior_multiplicities_match_sympy_on_a_wider_draw(record):
     # deg h = k*n reaches 60, while the census runs Yun on Q(u) of degree <= 5
+    interior = ss.census(record).interior
+    assert [(entry.l, entry.count) for entry in interior] == sorted(oracle_interior(record))
+
+
+@PROPERTY
+@given(dense_T_records())
+def test_interior_multiplicities_match_sympy_on_dense_draws(record):
+    # Q(u) reaches degree 60, dense, with planted repeated factors
     interior = ss.census(record).interior
     assert [(entry.l, entry.count) for entry in interior] == sorted(oracle_interior(record))
 

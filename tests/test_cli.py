@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semistable as ss
+from semistable import polynomials
 from semistable.cli import _json, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -370,6 +371,22 @@ def test_census_unsupported_form_rejected(germ_file, capsys):
     germ = {"n": 1, "a": 0, "case": "T", "k": 3,
             "g": [{"coeff": "1", "exp": [1, 0, 0, 5]}]}
     assert main(["census", germ_file(germ), "--weights", "2,1,1"]) == 2
+
+
+def test_census_past_the_work_budget(germ_file, capsys, monkeypatch):
+    # Yun's decomposition of the cubic's Q(u) = (u - 1)^2 (u + 2) takes more than 5 work units
+    monkeypatch.setattr(polynomials, "_YUN_WORK_BUDGET", 5)
+    path = germ_file(CUBIC)
+    assert main(["census", path, "--weights", "2,1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rejected: Yun's decomposition past 5 work units\n"
+    assert main(["enumerate", path, "--bound", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "    census: unsupported form (Yun's decomposition past 5 work units)" in out.splitlines()
+    assert main(["enumerate", path, "--bound", "2", "--json"]) == 0
+    notes = {r["census_note"] for r in json.loads(capsys.readouterr().out)["records"]}
+    assert notes == {"Yun's decomposition past 5 work units"}
 
 
 def test_cover_quadric(germ_file, capsys):

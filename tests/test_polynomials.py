@@ -8,7 +8,7 @@ import pytest
 import semistable as ss
 from semistable import SparsePoly
 from semistable.polynomials import min_weight_monomial, scaled_graded_piece, scaled_valuation
-from oracles import dense_product, poly_product
+from oracles import dense_product, oracle_squarefree, poly_product
 
 W = ss.WeightVector
 
@@ -164,6 +164,29 @@ def test_squarefree_against_constructed_products():
         got = ss.squarefree_multiplicities(h)
         assert got == [(expected[mult], mult) for mult in sorted(expected)]
         assert sum(deg * mult for deg, mult in got) == len(h) - 1
+
+
+def test_squarefree_matches_sympy_on_dense_draws():
+    # dense factors up to degree 40 times planted repeated ones, degree <= 64
+    rng = random.Random(60)
+    coeff = [Fraction(c) for c in ("1", "-1", "2", "-3", "9", "-1/2", "5/6", "7/4")]
+    for _ in range(40):
+        factors = [[rng.choice(coeff) for _ in range(rng.randrange(1, 41))] + [rng.choice(coeff)]]
+        for _ in range(rng.randrange(4)):
+            planted = [rng.choice(coeff + [Fraction(0)]), rng.choice(coeff)]
+            if rng.random() < 0.5:
+                planted.append(rng.choice(coeff))
+            factors += [planted] * rng.randrange(1, 6)
+        h = dense_product(*factors)
+        assert ss.squarefree_multiplicities(h) == oracle_squarefree(h)
+
+
+def test_squarefree_of_binomial_powers_matches_sympy():
+    for m in (*range(1, 61), 200):
+        h = dense_product(*[[1, 1]] * m)
+        assert ss.squarefree_multiplicities(h) == oracle_squarefree(h) == [(1, m)]
+    h = dense_product(*[[1, 1]] * 7, *[[-2, 3]] * 3, [1, 0, 1])  # (u+1)^7 (3u-2)^3 (u^2+1)
+    assert ss.squarefree_multiplicities(h) == oracle_squarefree(h) == [(2, 1), (1, 3), (1, 7)]
 
 
 def test_squarefree_degree_bookkeeping_with_conjugate_roots():

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import semistable as ss
 from semistable import SparsePoly, WeightVector
-from oracles import reduced_T_records, t_power_germs
+from oracles import dense_T_records, reduced_T_records, t_power_germs
 
 
 def mirrored(germ):
@@ -86,7 +86,7 @@ def test_mirror_x_y_maps_records_to_records(germ, bound):
 
 @pytest.mark.parametrize("s", [2, -3, Fraction(1, 2)])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(record=reduced_T_records())
+@given(record=reduced_T_records() | dense_T_records())
 def test_rescaling_t_keeps_records_and_census(s, record):
     germ = record.germ
     scaled = germ._replace(tg=SparsePoly({e: c * Fraction(s) ** e[3] for e, c in germ.tg.items()}))
