@@ -7,10 +7,12 @@ Germ inputs are JSON files:
      "rho_one": false}
 
 All rationals render as "p/q" strings, never floats.  JSON output is what
-the standard `json` module writes with `indent=2, sort_keys=True`, from one
-private writer (`_json`).  `enumerate` writes its header, then one write per
-record as it is rendered, then its rejected weights, so its memory does not
-grow with its output.
+the standard `json` module writes with `indent=2, sort_keys=True`.  One
+private writer (`_json`) writes it, except for `enumerate`'s rejected
+weights, which `_records._rejected_json` writes straight from their
+integers.  `enumerate` writes its header, then one write per record as it
+is rendered, then its rejected weights, so its memory does not grow with
+its output.
 
 Exit codes: 0 success, 1 when stdout is closed before the output is written
 (a broken pipe), 2 mathematical rejection (invalid germ, inadmissible weights,
@@ -62,7 +64,7 @@ def _load_germ(path: str) -> GermSpec:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except (OSError, ValueError) as exc:  # ValueError: JSON or UTF-8 decoding
+    except (OSError, ValueError, RecursionError) as exc:  # JSON or UTF-8 decoding, deep nesting
         raise CliParseError(f"cannot read germ file {path!r}: {exc}") from None
     return validate_germ(raw)
 
@@ -84,7 +86,7 @@ def _json(value, newline: str = "\n") -> str:
 
 
 class _Rendered(str):
-    """JSON text `_json` already wrote, at the indent of the place it goes."""
+    """JSON text already written, at the indent of the place it goes."""
 
 
 # (keys in insertion order, inner newline) -> [(key, "{" or "," + newline + quoted key + ": ")]
@@ -247,7 +249,7 @@ def cmd_enumerate(args) -> int:
 
     So the process holds one rendered record at a time, not the whole output.
     """
-    from ._records import _record_json, _record_lines
+    from ._records import _record_json, _record_lines, _rejected_json, _rejected_text
     from .contractions import _E_json, enumerate_contractions
 
     germ = _load_germ(args.spec)
@@ -262,18 +264,13 @@ def cmd_enumerate(args) -> int:
         write("\n".join(_germ_lines(germ) + [f"records: {len(records)}{bound_note}", ""]))
         for i, (record, E) in enumerate(zip(records, Es), start=1):
             write("\n".join([f"[{i}]", *_record_lines(record, "    ", E and E[1]), ""]))
-        write("".join(
-            f"rejected: {w} violates w(t*g) >= w(f), witness exponent {witness}\n"
-            for w, witness in rejected
-        ))
+        write(_rejected_text(rejected))
         return EXIT_OK
     payload = {
         "bound": args.bound,
         "germ": germ.to_json(),
         "records": records,  # streamed below
-        "rejected": [
-            {"w0": w.to_json(), "witness_exponent": list(witness)} for w, witness in rejected
-        ],
+        "rejected": _Rendered(_rejected_json(rejected)),
     }
     # Every record repeats the germ, and E = f when t*g = 0: render them once.
     inner = "\n      "  # the line break and indent of a record's entries

@@ -35,9 +35,12 @@ raises NonAdmissibleWeight for a weight `is_admissible` refuses and
 SemistabilityViolation when w(t*g) < w(f), and `_replace`, `copy` and
 `pickle` all build through it, so every record that exists is admissible
 and semistable and no consumer checks it again.  One private decision,
-`_decide`, values f and t*g once per weight and returns d*lambda with a
-witness for an unstable weight.  The constructor and enumeration share
-it: enumeration trusts its scan for admissibility, so a rejected weight
+`_decide`, grades t*g once per weight against the d*lambda it is handed:
+the least (scaled weight, exponent) pair of t*g is both the verdict and
+the witness of an unstable weight.  The constructor and enumeration share
+it.  The constructor values f; case-T enumeration reads d*lambda = k*n*a3
+off the weight and trusts its scan for admissibility (the scan builds each
+weight it proved valid past `WeightVector`'s checks), so a rejected weight
 formats no message and a passing one becomes a record that keeps its
 d*lambda.  All of it runs on integers (valuations scaled by the weight
 denominator d, see the polynomials module): records sort by the integer
@@ -113,7 +116,7 @@ def admissible_weights_T(n: int, a: int, k: int, bound) -> list[WeightVector]:
                     f"bound {bound} spans {work} candidates, over the limit {_MAX_SCAN}"
                 )
             scans.append((d, e, cap, rows))
-    found = []
+    found, proven = [], WeightVector._proven
     for d, e, cap, rows in scans:
         a_inverse = pow(a, -1, d)
         for a3 in range(1, rows + 1):
@@ -125,8 +128,10 @@ def admissible_weights_T(n: int, a: int, k: int, bound) -> list[WeightVector]:
                 # gcd(a1, a3) = gcd(a1, a2, a3), as a2 = k*n*a3 - a1.  Then the
                 # coordinates (e*a1, k*e*a3, c3) are coprime iff gcd(e, c3) = 1:
                 # a prime dividing a1 and c3 = (a3 - a*a1)/d also divides a3.
+                # So the entries are positive and coprime and d is exact: the
+                # weight is proven, and its checks are not run again.
                 if gcd(a1, a3) == 1 and gcd(e, (a3 - a * a1) // d) == 1:
-                    found.append(((e * a1, e * a2, e * a3), WeightVector((a1, a2, a3), d)))
+                    found.append(((e * a1, e * a2, e * a3), proven((a1, a2, a3), d)))
     found.sort(key=itemgetter(0))
     return [w for _, w in found]
 
@@ -180,15 +185,17 @@ def is_admissible(germ: GermSpec, w0: WeightVector) -> tuple[bool, str | None]:
     return True, None
 
 
-def _decide(germ: GermSpec, w0: WeightVector) -> tuple[int, tuple[Exponent, Fraction] | None]:
-    """(d*lambda, None) when w(t*g) >= w(f), else (d*lambda, a witness monomial of t*g).
+def _decide(germ: GermSpec, w0: WeightVector, scaled_lam: int) -> tuple[int, Exponent] | None:
+    """None when w(t*g) >= w(f) = scaled_lam/d, else the witness (d*w(t*g), exponent).
 
-    w0 is trusted to be admissible; the witness is `min_weight_monomial`'s.
+    w0 is trusted to be admissible and scaled_lam to be d*w(f).  t*g is graded
+    once: its least (scaled weight, exponent) pair, `min_weight_monomial`'s,
+    is both the verdict and the witness.
     """
-    scaled_lam = scaled_valuation(w0, germ.f)
-    if germ.tg.is_zero or scaled_valuation(w0, germ.tg) >= scaled_lam:
-        return scaled_lam, None
-    return scaled_lam, min_weight_monomial(w0, germ.tg)
+    if germ.tg.is_zero:
+        return None
+    lowest = min_weight_monomial(w0, germ.tg)
+    return lowest if lowest[0] < scaled_lam else None
 
 
 class _ContractionFields(NamedTuple):
@@ -216,14 +223,15 @@ class ContractionRecord(_Checked, _ContractionFields):
         ok, reason = is_admissible(germ, w0)
         if not ok:
             raise NonAdmissibleWeight(reason)
-        scaled_lam, witness = _decide(germ, w0)
+        scaled_lam = scaled_valuation(w0, germ.f)
+        witness = _decide(germ, w0, scaled_lam)
         if witness is not None:
             d = w0.denominator
-            exp, coeff = witness
+            scaled_tg, exp = witness
             raise SemistabilityViolation(
-                f"w(t*g) = {ratio_to_str(scaled_valuation(w0, germ.tg), d)} < "
+                f"w(t*g) = {ratio_to_str(scaled_tg, d)} < "
                 f"w(f) = {ratio_to_str(scaled_lam, d)}; "
-                f"witness monomial {format_poly(SparsePoly.monomial(exp, coeff))}",
+                f"witness monomial {format_poly(SparsePoly.monomial(exp, germ.tg._terms[exp]))}",
                 witness=exp,
             )
         return cls._decided(germ, w0, scaled_lam)
@@ -305,16 +313,21 @@ def enumerate_contractions(germ: GermSpec, bound=None):
     if germ.case == "T":
         if bound is None:
             raise ValueError("case-T enumeration needs a bound")
-        weights = admissible_weights_T(germ.n, germ.a, germ.k, bound)
+        kn = germ.k * germ.n  # d*lambda = a1 + a2 = k*n*a3, so f is not graded per weight
+        decisions = [
+            (w, kn * w.numerators[2])
+            for w in admissible_weights_T(germ.n, germ.a, germ.k, bound)
+        ]
     else:
-        weights = [fixed_weights_DE(germ.case, germ.m)]
+        w = fixed_weights_DE(germ.case, germ.m)
+        decisions = [(w, scaled_valuation(w, germ.f))]
     records, rejected = [], []
-    for w in weights:  # admissible by construction; a rejected weight formats no message
-        scaled_lam, witness = _decide(germ, w)
+    for w, scaled_lam in decisions:  # admissible by construction; a rejection formats no message
+        witness = _decide(germ, w, scaled_lam)
         if witness is None:
             records.append(ContractionRecord._decided(germ, w, scaled_lam))
         else:
-            rejected.append((w, witness[0]))
+            rejected.append((w, witness[1]))
     # Weights arrive sorted, so a stable sort by lambda orders by (lambda, w0).
     # lambda = d*lambda/d is an integer: k*e*a3 in case T, and d = 1 in D and E.
     records.sort(key=lambda r: r._scaled_lam // r.w0.denominator)

@@ -192,6 +192,11 @@ class WeightVector(_Checked, _WeightVectorFields):
         return super().__new__(cls, nums, denominator)
 
     @classmethod
+    def _proven(cls, numerators: tuple[int, int, int], denominator: int) -> "WeightVector":
+        """The weight of ints the caller proved valid (positive, coprime, d >= 1), unchecked."""
+        return tuple.__new__(cls, (numerators, denominator))
+
+    @classmethod
     def from_fractions(cls, fracs) -> "WeightVector":
         nums, d = _scaled(to_vector(fracs, 3))
         return cls(nums, d)  # gcd(nums) > 1 fails validation, as it should

@@ -197,10 +197,13 @@ def valuation_with_weights(weights, h: SparsePoly) -> int | Fraction:
     return min(grade for grade, _ in _graded(weights, h))
 
 
-def min_weight_monomial(w: WeightVector, h: SparsePoly) -> tuple[Exponent, Fraction]:
-    """A lowest-weight monomial of h (deterministic: smallest exponent tuple wins ties)."""
-    _, exp = min(_graded((*w.numerators, w.denominator), h))  # least weight, then exponent
-    return exp, h._terms[exp]
+def min_weight_monomial(w: WeightVector, h: SparsePoly) -> tuple[int, Exponent]:
+    """(d*weight, exponent) of a lowest-weight monomial of h: the least such pair.
+
+    So the weight is d times the valuation of h, and the smallest exponent
+    tuple wins ties.
+    """
+    return min(_graded((*w.numerators, w.denominator), h))
 
 
 def scaled_graded_piece(w: WeightVector, h: SparsePoly, scaled_value: int) -> SparsePoly:

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import semistable as ss
 from semistable import polynomials
 from semistable.cli import _json, main
+from oracles import t_power_germs
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -93,6 +97,14 @@ def test_malformed_json_is_parse_failure(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     assert main(["classify", str(path)]) == 3
+
+
+def test_deeply_nested_json_is_parse_failure(tmp_path, capsys):
+    # json.load recurses once per nesting level: past the recursion limit, exit 3, no traceback
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["classify", str(path)]) == 3
+    assert "cannot read germ file" in capsys.readouterr().err
 
 
 def test_undecodable_germ_file_is_parse_failure(tmp_path, capsys):
@@ -313,6 +325,33 @@ def test_enumerate_reports_semistability_rejections(germ_file, capsys):
     out = capsys.readouterr().out
     assert "records: 1" in out
     assert "rejected: (1,3,2)" in out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(t_power_germs(), st.integers(0, 5))
+@example(ss.validate_germ({"n": 5, "a": 2, "case": "T", "k": 1,
+                           "g": [{"coeff": "-3/2", "exp": [0, 0, 0, 1]}]}), 5)  # rejects 14 of 16
+def test_enumerate_writes_rejections_as_their_dict_form(germ, bound):
+    # rejected weights are written from their integers, not through str(w0) or _json
+    _, rejected = ss.enumerate_contractions(germ, bound)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "germ.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(germ.to_json(), handle)
+        outs = []
+        for flags in ([], ["--json"]):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(["enumerate", path, "--bound", str(bound), *flags]) == 0
+            outs.append(out.getvalue())
+    text, as_json = outs
+    assert [line for line in text.splitlines() if line.startswith("rejected: ")] == [
+        f"rejected: {w} violates w(t*g) >= w(f), witness exponent {witness}"
+        for w, witness in rejected
+    ]
+    assert as_json == json.dumps(json.loads(as_json), indent=2, sort_keys=True) + "\n"
+    block = [{"w0": w.to_json(), "witness_exponent": list(witness)} for w, witness in rejected]
+    block = _json(block, "\n  ")
+    assert as_json.endswith(f'\n  "rejected": {block}\n}}\n')
 
 
 def test_blowup_record(germ_file, capsys):

@@ -227,18 +227,22 @@ LOWER = germ_T(1, 0, 2, [{"coeff": "1", "exp": [0, 0, 0, 4]}, {"coeff": "1", "ex
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(t_power_germs(), st.integers(1, 4))
+@given(t_power_germs(), st.integers(0, 5))
 @example(TIED, 3)
 @example(LOWER, 3)
 def test_enumeration_decides_each_weight_as_build_contraction_does(germ, bound):
     # enumeration tests semistability on its scan, then builds through the checking constructor
     records, rejected = ss.enumerate_contractions(germ, bound)
     scanned = ss.admissible_weights_T(germ.n, germ.a, germ.k, bound)
+    for w in scanned:  # the scan skips the checks of weights it proved valid
+        checked = WeightVector(w.numerators, w.denominator)
+        assert w == checked and type(w) is type(checked)
     decided = [r.w0 for r in records] + [w for w, _ in rejected]
     assert sorted(decided) == sorted(scanned)
     for record in records:
         w = record.w0
-        assert record == ss.build_contraction(germ, w)
+        built = ss.build_contraction(germ, w)
+        assert record == built and record.lam == built.lam  # enumeration reads d*lam off a3
         # the discrepancy formula that lambda replaced: sum(w0, 1) - w(f + t*g) - 1
         valuation = Fraction(scaled_valuation(w, germ.equation), w.denominator)
         assert record.discrepancy == sum(w.fractions) + 1 - valuation - 1

@@ -49,6 +49,17 @@ def test_valuation_examples():
             zero_valuation()
 
 
+def test_min_weight_monomial_takes_the_least_weight_then_the_least_exponent():
+    w = W((1, 3, 2))
+    zt, t3, t5 = (0, 0, 1, 1), (0, 0, 0, 3), (0, 0, 0, 5)
+    assert min_weight_monomial(w, SparsePoly({zt: 1, t3: 2})) == (3, t3)  # a tie at weight 3
+    assert min_weight_monomial(w, SparsePoly({zt: 1, t5: 2})) == (3, zt)
+    # the weight is scaled by the denominator: z weighs 3/2, t^2 weighs 2
+    assert min_weight_monomial(W((1, 5, 3), 2), SparsePoly({(0, 0, 1, 0): 1, (0, 0, 0, 2): 1})) == (
+        3, (0, 0, 1, 0)
+    )
+
+
 def test_homogeneity_examples():
     assert homogeneous_weight(W((4, 3, 2)), ss.normal_form("D", m=5)) == 8
     assert homogeneous_weight(W((9, 6, 4)), ss.normal_form("E7")) == 18
