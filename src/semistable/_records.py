@@ -92,50 +92,9 @@ def _record_json(record: ContractionRecord, germ=None, E=None) -> dict:
     return payload
 
 
-# `enumerate`'s rejected (w0, witness exponent) pairs are written straight from their
-# integers.  Each entry of an admissible weight is a unit mod d (see the contractions
-# module), so a_i/d is in lowest terms and the vector reads "a_i/d", or "a_i" when d = 1.
-
-
 def _rejected_text(rejected: list) -> str:
-    """The text lines of the rejected pairs, w0 as `str(w0)` writes it."""
+    """`enumerate`'s text lines for its rejected (w0, witness exponent) pairs."""
     return "".join(
-        f"rejected: {'' if d == 1 else f'(1/{d})'}({a1},{a2},{a3}) violates "
-        f"w(t*g) >= w(f), witness exponent ({i}, {j}, {k}, {l})\n"
-        for ((a1, a2, a3), d), (i, j, k, l) in rejected
+        f"rejected: {w0} violates w(t*g) >= w(f), witness exponent {witness}\n"
+        for w0, witness in rejected
     )
-
-
-def _rejected_json(rejected: list) -> str:
-    """The rejected pairs as `_json` writes their dict form in the `enumerate` payload.
-
-    That form is [{"w0": w0.to_json(), "witness_exponent": [...]}, ...] at
-    indent 2; this writes it with one f-string per entry.
-    """
-    entries = []
-    for ((a1, a2, a3), d), (i, j, k, l) in rejected:
-        over = "" if d == 1 else f"/{d}"
-        entries.append(
-            "{\n"
-            '      "w0": {\n'
-            f'        "denominator": {d},\n'
-            '        "numerators": [\n'
-            f"          {a1},\n"
-            f"          {a2},\n"
-            f"          {a3}\n"
-            "        ],\n"
-            '        "vector": [\n'
-            f'          "{a1}{over}",\n'
-            f'          "{a2}{over}",\n'
-            f'          "{a3}{over}"\n'
-            "        ]\n"
-            "      },\n"
-            '      "witness_exponent": [\n'
-            f"        {i},\n"
-            f"        {j},\n"
-            f"        {k},\n"
-            f"        {l}\n"
-            "      ]\n"
-            "    }"
-        )
-    return "[\n    " + ",\n    ".join(entries) + "\n  ]" if entries else "[]"

@@ -8,11 +8,10 @@ Germ inputs are JSON files:
 
 All rationals render as "p/q" strings, never floats.  JSON output is what
 the standard `json` module writes with `indent=2, sort_keys=True`.  One
-private writer (`_json`) writes it, except for `enumerate`'s rejected
-weights, which `_records._rejected_json` writes straight from their
-integers.  `enumerate` writes its header, then one write per record as it
-is rendered, then its rejected weights, so its memory does not grow with
-its output.
+private writer (`_json`) lays it all out; `enumerate`'s rejected weights
+fill a template it renders once (`_rejected_json`).  `enumerate` writes
+its header, then one write per record as it is rendered, then its
+rejected weights, so its memory does not grow with its output.
 
 Exit codes: 0 success, 1 when stdout is closed before the output is written
 (a broken pipe), 2 mathematical rejection (invalid germ, inadmissible weights,
@@ -166,6 +165,28 @@ def _json_chunks(value, newline: str, out: list[str]) -> None:
         raise TypeError(f"{kind.__name__} is not a JSON value the CLI writes")
 
 
+# Each entry of an admissible weight is a unit mod d (see the contractions module), so
+# a_i/d is in lowest terms and the vector reads "a_i/d", or "a_i" when d = 1, with no
+# gcd taken.  This lives here, not in `_records`: `python -m semistable.cli` runs this
+# module as `__main__`, so a library module importing it would run it a second time.
+def _rejected_json(rejected: list) -> str:
+    """`enumerate`'s rejected (w0, witness exponent) pairs as `_json` writes their dict form.
+
+    That form is [{"w0": w0.to_json(), "witness_exponent": [...]}, ...] at
+    indent 2.  `_json` writes one entry with %-slots for its integers (no key
+    holds a "%"), in sorted key order: d, the numerators, the vector, the witness.
+    """
+    number, ratio = _Rendered("%d"), _Rendered('"%d%s"')
+    w0 = {"denominator": number, "numerators": [number] * 3, "vector": [ratio] * 3}
+    template = _json({"w0": w0, "witness_exponent": [number] * 4}, "\n    ")
+    entries = []
+    for ((a1, a2, a3), d), (i, j, k, l) in rejected:
+        over = "" if d == 1 else f"/{d}"
+        slots = (d, a1, a2, a3, a1, over, a2, over, a3, over, i, j, k, l)
+        entries.append(_Rendered(template % slots))
+    return _json(entries, "\n  ")
+
+
 def _emit(
     build_payload: Callable[[], dict], build_lines: Callable[[], list[str]], as_json: bool
 ) -> None:
@@ -249,7 +270,7 @@ def cmd_enumerate(args) -> int:
 
     So the process holds one rendered record at a time, not the whole output.
     """
-    from ._records import _record_json, _record_lines, _rejected_json, _rejected_text
+    from ._records import _record_json, _record_lines, _rejected_text
     from .contractions import _E_json, enumerate_contractions
 
     germ = _load_germ(args.spec)
@@ -266,31 +287,21 @@ def cmd_enumerate(args) -> int:
             write("\n".join([f"[{i}]", *_record_lines(record, "    ", E and E[1]), ""]))
         write(_rejected_text(rejected))
         return EXIT_OK
-    payload = {
-        "bound": args.bound,
-        "germ": germ.to_json(),
-        "records": records,  # streamed below
-        "rejected": _Rendered(_rejected_json(rejected)),
-    }
     # Every record repeats the germ, and E = f when t*g = 0: render them once.
+    germ_dict = germ.to_json()
     inner = "\n      "  # the line break and indent of a record's entries
-    germ_json = _Rendered(_json(germ.to_json(), inner))
+    germ_json = _Rendered(_json(germ_dict, inner))
     f_json = tuple(_Rendered(_json(entry, inner)) for entry in f_E)
-    text, sep = "", "{"
-    for key in sorted(payload):  # the key order `_json` gives
-        text += f"{sep}\n  {_quote(key)}: "
-        sep = ","
-        if key == "records":
-            write(text + "[")
-            for i, (record, E) in enumerate(zip(records, Es)):
-                write(
-                    ("," if i else "") + "\n    "
-                    + _json(_record_json(record, germ_json, E and f_json), "\n    ")
-                )
-            text = "\n  ]" if records else "]"
-        else:
-            text += _json(payload[key], "\n  ")
-    write(text + "\n}\n")
+    # the payload's four keys in the sorted order `_json` gives
+    header = '{\n  "bound": ' + _json(args.bound) + ',\n  "germ": ' + _json(germ_dict, "\n  ")
+    write(header + ',\n  "records": [')
+    for i, (record, E) in enumerate(zip(records, Es)):
+        write(
+            ("," if i else "") + "\n    "
+            + _json(_record_json(record, germ_json, E and f_json), "\n    ")
+        )
+    end = "\n  ]" if records else "]"
+    write(end + ',\n  "rejected": ' + _rejected_json(rejected) + "\n}\n")
     return EXIT_OK
 
 

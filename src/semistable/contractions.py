@@ -35,16 +35,16 @@ raises NonAdmissibleWeight for a weight `is_admissible` refuses and
 SemistabilityViolation when w(t*g) < w(f), and `_replace`, `copy` and
 `pickle` all build through it, so every record that exists is admissible
 and semistable and no consumer checks it again.  One private decision,
-`_decide`, grades t*g once per weight against the d*lambda it is handed:
-the least (scaled weight, exponent) pair of t*g is both the verdict and
-the witness of an unstable weight.  The constructor and enumeration share
-it.  The constructor values f; case-T enumeration reads d*lambda = k*n*a3
-off the weight and trusts its scan for admissibility (the scan builds each
-weight it proved valid past `WeightVector`'s checks), so a rejected weight
-formats no message and a passing one becomes a record that keeps its
-d*lambda.  All of it runs on integers (valuations scaled by the weight
-denominator d, see the polynomials module): records sort by the integer
-lambda, and `to_json` writes lambda and the discrepancy from d*lambda.
+`_decide`, which the constructor and enumeration share, computes d*lambda
+(a1 + a2 in case T, where admissibility makes f homogeneous; the D and E
+cases grade f) and grades t*g once per weight: its least (scaled weight,
+exponent) pair is both the verdict and the witness of an unstable weight.
+Enumeration trusts its scan for admissibility (the scan builds each weight
+it proved valid past `WeightVector`'s checks), so a rejected weight formats
+no message and a passing one becomes a record that keeps its d*lambda.
+All of it runs on integers (valuations scaled by the weight denominator d,
+see the polynomials module): records sort by the integer lambda, and
+`to_json` writes lambda and the discrepancy from d*lambda.
 `Fraction(scaled, d)` is built only where `lam` or `discrepancy` is read.
 """
 
@@ -72,7 +72,6 @@ from .polynomials import (
     min_weight_monomial,
     poly_to_json,
     scaled_graded_piece,
-    scaled_valuation,
 )
 
 
@@ -185,17 +184,19 @@ def is_admissible(germ: GermSpec, w0: WeightVector) -> tuple[bool, str | None]:
     return True, None
 
 
-def _decide(germ: GermSpec, w0: WeightVector, scaled_lam: int) -> tuple[int, Exponent] | None:
-    """None when w(t*g) >= w(f) = scaled_lam/d, else the witness (d*w(t*g), exponent).
+def _decide(germ: GermSpec, w0: WeightVector) -> tuple[int, tuple[int, Exponent] | None]:
+    """(d*w(f), witness): the witness is None when w(t*g) >= w(f), else (d*w(t*g), exponent).
 
-    w0 is trusted to be admissible and scaled_lam to be d*w(f).  t*g is graded
-    once: its least (scaled weight, exponent) pair, `min_weight_monomial`'s,
-    is both the verdict and the witness.
+    w0 is trusted to be admissible, so in case T f is homogeneous and
+    d*w(f) = a1 + a2.  t*g is graded once: its least (scaled weight, exponent)
+    pair, `min_weight_monomial`'s, is both the verdict and the witness.
     """
+    a1, a2, _ = w0.numerators
+    scaled_lam = a1 + a2 if germ.case == "T" else min_weight_monomial(w0, germ.f)[0]
     if germ.tg.is_zero:
-        return None
+        return scaled_lam, None
     lowest = min_weight_monomial(w0, germ.tg)
-    return lowest if lowest[0] < scaled_lam else None
+    return scaled_lam, lowest if lowest[0] < scaled_lam else None
 
 
 class _ContractionFields(NamedTuple):
@@ -223,8 +224,7 @@ class ContractionRecord(_Checked, _ContractionFields):
         ok, reason = is_admissible(germ, w0)
         if not ok:
             raise NonAdmissibleWeight(reason)
-        scaled_lam = scaled_valuation(w0, germ.f)
-        witness = _decide(germ, w0, scaled_lam)
+        scaled_lam, witness = _decide(germ, w0)
         if witness is not None:
             d = w0.denominator
             scaled_tg, exp = witness
@@ -313,17 +313,12 @@ def enumerate_contractions(germ: GermSpec, bound=None):
     if germ.case == "T":
         if bound is None:
             raise ValueError("case-T enumeration needs a bound")
-        kn = germ.k * germ.n  # d*lambda = a1 + a2 = k*n*a3, so f is not graded per weight
-        decisions = [
-            (w, kn * w.numerators[2])
-            for w in admissible_weights_T(germ.n, germ.a, germ.k, bound)
-        ]
+        weights = admissible_weights_T(germ.n, germ.a, germ.k, bound)
     else:
-        w = fixed_weights_DE(germ.case, germ.m)
-        decisions = [(w, scaled_valuation(w, germ.f))]
+        weights = [fixed_weights_DE(germ.case, germ.m)]
     records, rejected = [], []
-    for w, scaled_lam in decisions:  # admissible by construction; a rejection formats no message
-        witness = _decide(germ, w, scaled_lam)
+    for w in weights:  # admissible by construction; a rejection formats no message
+        scaled_lam, witness = _decide(germ, w)
         if witness is None:
             records.append(ContractionRecord._decided(germ, w, scaled_lam))
         else:

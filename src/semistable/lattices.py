@@ -206,10 +206,8 @@ class WeightVector(_Checked, _WeightVectorFields):
         return tuple(Fraction(c, self.denominator) for c in self.numerators)
 
     def __str__(self) -> str:
-        body = "(" + ",".join(str(c) for c in self.numerators) + ")"
-        if self.denominator == 1:
-            return body
-        return f"(1/{self.denominator}){body}"
+        (a1, a2, a3), d = self
+        return f"({a1},{a2},{a3})" if d == 1 else f"(1/{d})({a1},{a2},{a3})"
 
     def to_json(self) -> dict:
         return {

@@ -180,11 +180,6 @@ def _graded(weights, h: SparsePoly) -> list[tuple[int | Fraction, Exponent]]:
     return [(w1 * e[0] + w2 * e[1] + w3 * e[2] + w4 * e[3], e) for e in h._terms]
 
 
-def scaled_valuation(w: WeightVector, h: SparsePoly) -> int:
-    """d times the valuation of h: the least scaled monomial weight."""
-    return min(grade for grade, _ in _graded((*w.numerators, w.denominator), h))
-
-
 def valuation_with_weights(weights, h: SparsePoly) -> int | Fraction:
     """Least sum(w_i * e_i) over the monomials of h, one weight per variable.
 

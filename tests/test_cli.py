@@ -331,8 +331,11 @@ def test_enumerate_reports_semistability_rejections(germ_file, capsys):
 @given(t_power_germs(), st.integers(0, 5))
 @example(ss.validate_germ({"n": 5, "a": 2, "case": "T", "k": 1,
                            "g": [{"coeff": "-3/2", "exp": [0, 0, 0, 1]}]}), 5)  # rejects 14 of 16
+@example(ss.validate_germ({"n": 10**30 + 57, "a": 1, "case": "T", "k": 1,
+                           "g": [{"coeff": "1", "exp": [0, 0, 0, 1]}]}), 2)  # d has 31 digits
 def test_enumerate_writes_rejections_as_their_dict_form(germ, bound):
-    # rejected weights are written from their integers, not through str(w0) or _json
+    # text writes str(w0); --json fills one entry template, which `_json` renders with
+    # %-slots: the block must read as `_json` writes the dict form, big integers included
     _, rejected = ss.enumerate_contractions(germ, bound)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "germ.json")

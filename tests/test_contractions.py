@@ -6,8 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 import semistable as ss
 from semistable import SparsePoly, WeightVector
 from semistable._records import _record_json, _record_lines
-from semistable.polynomials import scaled_graded_piece, scaled_valuation
-from oracles import brute_force_weights_T, oracle_record_path, t_power_germs
+from semistable.polynomials import min_weight_monomial, scaled_graded_piece
+from oracles import brute_force_weights_T, oracle_record_path, oracle_valuation, t_power_germs
+from test_acceptance import DE_CASES, DE_LAMBDA, _germ_DE
 
 
 def germ_T(n, a, k, g_terms=None, rho_one=False):
@@ -164,7 +165,8 @@ def test_E_equation_is_homogeneous_of_weight_lambda():
     ]
     for germ, w in cases:
         record = ss.build_contraction(germ, w)
-        d, lam_scaled = record.w0.denominator, scaled_valuation(record.w0, record.E_equation)
+        lam_scaled = min_weight_monomial(record.w0, record.E_equation)[0]
+        d = record.w0.denominator
         # homogeneous: E equals its lowest graded piece
         assert scaled_graded_piece(record.w0, record.E_equation, lam_scaled) == record.E_equation
         assert Fraction(lam_scaled, d) == record.lam
@@ -226,6 +228,10 @@ TIED = germ_T(1, 0, 2, [{"coeff": "1", "exp": [0, 0, 0, 2]}, {"coeff": "1", "exp
 LOWER = germ_T(1, 0, 2, [{"coeff": "1", "exp": [0, 0, 0, 4]}, {"coeff": "1", "exp": [0, 0, 1, 0]}])
 
 
+def _exponents(h):
+    return [e for e, _ in h.items()]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(t_power_germs(), st.integers(0, 5))
 @example(TIED, 3)
@@ -242,14 +248,27 @@ def test_enumeration_decides_each_weight_as_build_contraction_does(germ, bound):
     for record in records:
         w = record.w0
         built = ss.build_contraction(germ, w)
-        assert record == built and record.lam == built.lam  # enumeration reads d*lam off a3
+        assert record == built
+        # both take d*lam = a1 + a2 from `_decide`; the oracle values f monomial by monomial
+        assert record.lam == built.lam == oracle_valuation(w.fractions, _exponents(germ.f))
         # the discrepancy formula that lambda replaced: sum(w0, 1) - w(f + t*g) - 1
-        valuation = Fraction(scaled_valuation(w, germ.equation), w.denominator)
+        valuation = oracle_valuation(w.fractions, _exponents(germ.equation))
         assert record.discrepancy == sum(w.fractions) + 1 - valuation - 1
     for w, witness in rejected:
         with pytest.raises(ss.SemistabilityViolation) as info:
             ss.build_contraction(germ, w)
         assert info.value.witness == witness
+
+
+def test_de_lambda_matches_the_oracle_through_both_routes():
+    # `_decide` grades f in the D and E cases; the oracle values it monomial by monomial
+    for case, m in DE_CASES:
+        germ = _germ_DE(case, m, DE_LAMBDA.get(case, 2 * m - 2 if m else None))
+        w = ss.fixed_weights_DE(case, m)
+        (record,), rejected = ss.enumerate_contractions(germ)
+        assert record.w0 == w and rejected == []
+        lam = oracle_valuation(w.fractions, _exponents(germ.f))
+        assert record.lam == ss.build_contraction(germ, w).lam == lam
 
 
 def test_discrepancy_matches_toric_surface_discrepancy():

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import semistable as ss
 from semistable import SparsePoly, WeightVector
-from semistable.polynomials import scaled_valuation
+from semistable.polynomials import min_weight_monomial
 from oracles import brute_force_weights_T, oracle_contains, oracle_primitive, oracle_valuation
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -105,10 +105,11 @@ def test_rational_vector_checks_match_oracle(data, numerators, denominator):
 def test_valuation_matches_naive_sum(w, exponents):
     h = SparsePoly({exp: 1 for exp in exponents})
     d = w.denominator
-    assert Fraction(scaled_valuation(w, h), d) == oracle_valuation(w.fractions, exponents)
+    assert Fraction(min_weight_monomial(w, h)[0], d) == oracle_valuation(w.fractions, exponents)
     for exp in exponents:
         monomial = SparsePoly.monomial(exp)
-        assert Fraction(scaled_valuation(w, monomial), d) == oracle_valuation(w.fractions, [exp])
+        scaled = min_weight_monomial(w, monomial)[0]
+        assert Fraction(scaled, d) == oracle_valuation(w.fractions, [exp])
 
 
 @PROPERTY

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import semistable as ss
 from oracles import oracle_contains, oracle_primitive
@@ -134,6 +134,22 @@ def test_weight_vector_invariants():
         ss.WeightVector((0, 1, 1))
     with pytest.raises(ValueError):
         ss.WeightVector((1, 1, 1), 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.tuples(*[st.integers(1, 10**30)] * 3),
+    st.one_of(st.just(1), st.integers(2, 10**30)),
+)
+@example((1, 5, 3), 1)
+@example((1, 5, 3), 2)
+@example((10**29 + 3, 10**29 + 7, 10**29 + 9), 10**29 + 1)
+def test_weight_vector_str_writes_its_entries(numerators, d):
+    # the rendering `str(w0)` had before it became one f-string per case
+    content = gcd(*numerators)
+    w = ss.WeightVector(tuple(c // content for c in numerators), d)
+    body = "(" + ",".join(str(c) for c in w.numerators) + ")"
+    assert str(w) == (body if d == 1 else f"(1/{d}){body}")
 
 
 def test_weight_from_fractions_round_trip():

@@ -7,19 +7,19 @@ import pytest
 
 import semistable as ss
 from semistable import SparsePoly
-from semistable.polynomials import min_weight_monomial, scaled_graded_piece, scaled_valuation
+from semistable.polynomials import min_weight_monomial, scaled_graded_piece
 from oracles import dense_product, oracle_squarefree, poly_product
 
 W = ss.WeightVector
 
 
 def valuation(w, h):
-    return Fraction(scaled_valuation(w, h), w.denominator)
+    return Fraction(min_weight_monomial(w, h)[0], w.denominator)
 
 
 def homogeneous_weight(w, h):
     """The weight of h when h is homogeneous, i.e. equals its lowest graded piece; else None."""
-    low = scaled_valuation(w, h)
+    low = min_weight_monomial(w, h)[0]
     return Fraction(low, w.denominator) if scaled_graded_piece(w, h, low) == h else None
 
 
@@ -36,12 +36,11 @@ def test_monomial_weight_examples():
 
 
 def test_valuation_examples():
-    assert scaled_valuation(W((6, 4, 3)), ss.normal_form("E6")) == 12
-    assert scaled_valuation(W((15, 10, 6)), ss.normal_form("E8")) == 30
-    assert scaled_valuation(W((1, 1, 1)), SparsePoly({(0, 0, 0, 7): 1})) == 7
-    assert scaled_valuation(W((1, 5, 3), 2), ss.normal_form("T", 2, 1)) == 6  # w(xy) = 3
+    assert min_weight_monomial(W((6, 4, 3)), ss.normal_form("E6"))[0] == 12
+    assert min_weight_monomial(W((15, 10, 6)), ss.normal_form("E8"))[0] == 30
+    assert min_weight_monomial(W((1, 1, 1)), SparsePoly({(0, 0, 0, 7): 1}))[0] == 7
+    assert min_weight_monomial(W((1, 5, 3), 2), ss.normal_form("T", 2, 1))[0] == 6  # w(xy) = 3
     for zero_valuation in (
-        lambda: scaled_valuation(W((1, 1, 1)), SparsePoly()),
         lambda: ss.valuation_with_weights((1, 1, 1, 1), SparsePoly()),
         lambda: min_weight_monomial(W((1, 1, 1)), SparsePoly()),
     ):
